@@ -24,6 +24,9 @@ from .survivor import (
 
 TABLE_HEADER = "p,word,exact,float,method"
 
+# decimal() rounds through int/str conversions, which CPython caps at 4300 digits
+MAX_DIGITS = 1000
+
 _METHOD_FLAGS = {"brute": BRUTE, "theorem": THEOREM, "closed": CLOSED}
 
 
@@ -190,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="computation path (survivor defaults to all, table to theorem)",
         )
         sp.add_argument("--format", choices=["text", "csv", "svg"], default="text")
-        sp.add_argument("--digits", type=int, default=10, help="significant digits")
+        sp.add_argument(
+            "--digits", type=int, default=10, help=f"significant digits (1 to {MAX_DIGITS})"
+        )
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument(
@@ -204,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.digits < 1:
-        parser.error("--digits must be >= 1")
+    if not 1 <= args.digits <= MAX_DIGITS:
+        parser.error(f"--digits must be between 1 and {MAX_DIGITS}")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     for bound in (args.p, args.pmax):

@@ -8,11 +8,13 @@ orbit points in [0, 1).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .numberfield import BetaContext, FieldElement
-from .words import PeriodicSeq, check_word, cyclic_lt, rotations
+from .words import PeriodicSeq, check_word, rotations
 
 
 def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
@@ -103,12 +105,22 @@ class AdmissibilityReport:
 
 
 def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
-    """Check every rotation of w against delta(beta), smallest offset first."""
+    """Check every rotation of w against delta(beta), smallest offset first.
+
+    Rotation k of w, extended periodically, is compared on its first
+    n = lcm(len(w), len(delta period)) symbols, a slice of one repeated w,
+    against the same n symbols of delta(beta); past n both repeat.
+    """
     check_word(w)
-    dper = ctx.delta.period
-    for offset, r in enumerate(rotations(w)):
-        if not cyclic_lt(r, dper):
-            return AdmissibilityReport(w, False, offset, (r, str(ctx.delta)))
+    p, dper = len(w), ctx.delta.period
+    n = math.lcm(p, len(dper))
+    ww = w * (n // p + 1)
+    dstream = dper * (n // len(dper))
+    for offset in range(p):
+        if ww[offset : offset + n] >= dstream:
+            return AdmissibilityReport(
+                w, False, offset, (w[offset:] + w[:offset], str(ctx.delta))
+            )
     return AdmissibilityReport(w, True)
 
 
@@ -118,44 +130,59 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
     The value of (rotation k)^inf is numerator_k / (beta^p - 1); successive
     numerators follow the shift identity N(sigma w) = beta*N(w) - w_1*(beta^p - 1).
     """
-    p = len(w)
-    dcoeffs = ctx.int_beta_pow(p)
+    dcoeffs = ctx.int_beta_pow(len(w))
     dcoeffs = (dcoeffs[0] - 1,) + dcoeffs[1:]  # beta^p - 1
+    mul_beta = ctx.int_mul_beta
     n = ctx.int_horner(w)
     out = [n]
-    for k in range(p - 1):
-        n = ctx.int_mul_beta(n)
-        if w[k] == "1":
-            n = tuple(a - b for a, b in zip(n, dcoeffs))
+    for bit in w[:-1]:
+        n = mul_beta(n)
+        if bit == "1":
+            n = tuple(map(operator.sub, n, dcoeffs))
         out.append(n)
     return out
+
+
+def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]:
+    """Offset and numerator of the rotation of w with the smallest periodic value.
+
+    Two independent routes must agree: the exact minimum over all rotations'
+    values, and the lexicographically least rotation.  The minimum must also
+    be attained once only.  A disagreement would mean the order/value
+    correspondence is broken, so it raises.  w must be admissible.
+    """
+    nums = rotation_numerators(w, ctx)
+    best, tied = 0, False
+    for k in range(1, len(nums)):
+        c = ctx.int_compare(nums[k], nums[best])
+        if c < 0:
+            best, tied = k, False
+        elif c == 0:
+            tied = True  # an earlier index never ties the final minimum
+    if tied:
+        raise RuntimeError(f"orbit minimum of {w} is attained by two rotations")
+    rots = rotations(w)
+    lex = rots.index(min(rots))
+    if best != lex:
+        raise RuntimeError(
+            f"orbit minimum of {w} at offset {best} but lex-min rotation at {lex}"
+        )
+    return best, nums[best]
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     """The rotation of w with the smallest periodic value, and that exact value.
 
-    Two independent routes must agree: the exact minimum over all rotations'
-    values, and the lexicographically least rotation.  A disagreement would
-    mean the order/value correspondence is broken, so it raises.
+    The value minimum is checked against the lexicographically least rotation
+    (see orbit_min_numerator); a disagreement raises RuntimeError.
     """
     report = is_admissible(w, ctx)
     if not report.admissible:
         raise ValueError(f"inadmissible word: {report.render()}")
-    nums = rotation_numerators(w, ctx)
-    best = 0
-    for k in range(1, len(nums)):
-        if ctx.int_compare(nums[k], nums[best]) < 0:
-            best = k
-    rots = rotations(w)
-    lex_idx = rots.index(min(rots))
-    if best != lex_idx:
-        raise RuntimeError(
-            f"orbit minimum of {w} at offset {best} but lex-min rotation at {lex_idx}"
-        )
-    p = len(w)
-    num = FieldElement.from_int_coeffs(ctx, nums[best])
-    den = FieldElement.from_int_coeffs(ctx, ctx.int_beta_pow(p)) - 1
-    return rots[best], num / den
+    best, num = orbit_min_numerator(w, ctx)
+    value = FieldElement.from_int_coeffs(ctx, num)
+    den = FieldElement.from_int_coeffs(ctx, ctx.int_beta_pow(len(w))) - 1
+    return w[best:] + w[:best], value / den
 
 
 def survives(w: str, t, ctx: BetaContext) -> bool:

@@ -11,14 +11,18 @@ a degree-1 field so every kind runs through the same code path.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 
 from .words import PeriodicSeq, as_seq, check_word
 
 NEG, ZERO, POS = -1, 0, 1
 
 _MAX_SCALE_BITS = 1 << 20  # refinement safety cap; never reached for nonzero input
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to 0/1 selector bytes
 
 
 class BetaKind(str, Enum):
@@ -46,7 +50,9 @@ class BetaContext:
         "delta",
         "_reduction",
         "_floor_cache",
+        "_bound_cache",
         "_int_pow_cache",
+        "_int_pow_columns",
         "_pow_cache",
     )
 
@@ -60,9 +66,12 @@ class BetaContext:
         # x^degree = sum(_reduction[i] * x^i)
         self._reduction = tuple(-c for c in minpoly[:-1])
         self._floor_cache: dict[int, int] = {}
+        self._bound_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._int_pow_cache: list[tuple[int, ...]] = [
             (1,) + (0,) * (self.degree - 1)
         ]
+        # _int_pow_columns[j][k] == _int_pow_cache[k][j]
+        self._int_pow_columns = [[c] for c in self._int_pow_cache[0]]
         self._pow_cache: list[FieldElement] = []
 
     @property
@@ -111,17 +120,17 @@ class BetaContext:
 
     def int_horner(self, word: str) -> tuple[int, ...]:
         """sum(word[i] * beta**(p-1-i)) as integer coefficients."""
-        acc = (0,) * self.degree
-        for ch in word:
-            acc = self.int_mul_beta(acc)
-            if ch == "1":
-                acc = (acc[0] + 1,) + acc[1:]
-        return acc
+        self.int_beta_pow(len(word) - 1)
+        ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
+        return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
-        while len(self._int_pow_cache) <= k:
-            self._int_pow_cache.append(self.int_mul_beta(self._int_pow_cache[-1]))
-        return self._int_pow_cache[k]
+        cache = self._int_pow_cache
+        while len(cache) <= k:
+            cache.append(self.int_mul_beta(cache[-1]))
+            for col, c in zip(self._int_pow_columns, cache[-1]):
+                col.append(c)
+        return cache[k]
 
     def beta_floor_scaled(self, s: int) -> int:
         """Integer L with L/2^s <= beta <= (L+1)/2^s, by bisection on minpoly.
@@ -151,25 +160,38 @@ class BetaContext:
         self._floor_cache[s] = lo_t
         return lo_t
 
+    def bracket(self, ints: tuple[int, ...], s: int) -> tuple[int, int]:
+        """Integers lo <= sum(ints[k] * beta**k) * 2**(s*(degree-1)) <= hi.
+
+        Uses L/2^s <= beta <= (L+1)/2^s with L = beta_floor_scaled(s).  The
+        bound vectors L**k * 2**(s*(degree-1-k)) and (L+1)**k * 2**(s*(degree-1-k))
+        are cached per s, so a bracket is two dot products.
+        """
+        bounds = self._bound_cache.get(s)
+        if bounds is None:
+            L, d = self.beta_floor_scaled(s), self.degree
+            bounds = self._bound_cache[s] = (
+                tuple(L**k << s * (d - 1 - k) for k in range(d)),
+                tuple((L + 1) ** k << s * (d - 1 - k) for k in range(d)),
+            )
+        lo = hi = 0
+        for c, a, b in zip(ints, *bounds):
+            if c > 0:
+                lo += c * a
+                hi += c * b
+            elif c:
+                lo += c * b
+                hi += c * a
+        return lo, hi
+
     def int_sign(self, coeffs: tuple[int, ...]) -> int:
         """Sign of an integer-coefficient element; exact, no floating point."""
-        if all(c == 0 for c in coeffs):
-            return ZERO
-        if self.degree == 1 or all(c == 0 for c in coeffs[1:]):
-            return POS if coeffs[0] > 0 else NEG
+        if not any(coeffs[1:]):
+            c = coeffs[0]
+            return POS if c > 0 else NEG if c else ZERO
         s = 64
         while s <= _MAX_SCALE_BITS:
-            L = self.beta_floor_scaled(s)
-            # bound sum(c_k * beta^k) * 2^(s*(degree-1)) between lo and hi
-            lo = hi = 0
-            for k, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                scale = 1 << (s * (self.degree - 1 - k))
-                a = c * L**k * scale
-                b = c * (L + 1) ** k * scale
-                lo += min(a, b)
-                hi += max(a, b)
+            lo, hi = self.bracket(coeffs, s)
             if lo > 0:
                 return POS
             if hi < 0:
@@ -178,7 +200,7 @@ class BetaContext:
         raise RuntimeError("sign refinement exceeded the scale cap")
 
     def int_compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        return self.int_sign(tuple(x - y for x, y in zip(a, b)))
+        return self.int_sign(tuple(map(operator.sub, a, b)))
 
     def __repr__(self) -> str:
         return f"BetaContext({self.kind.value})"
@@ -267,7 +289,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.ctx, tuple(map(operator.add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -278,7 +300,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.ctx, tuple(map(operator.sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -340,13 +362,13 @@ class FieldElement:
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def sign(self) -> int:
         """NEG, ZERO or POS; exact via interval refinement around the root."""
         if self.is_zero():
             return ZERO
-        if all(c == 0 for c in self.coeffs[1:]):
+        if not any(self.coeffs[1:]):
             return POS if self.coeffs[0] > 0 else NEG
         q = math.lcm(*(c.denominator for c in self.coeffs))
         ints = tuple(int(c * q) for c in self.coeffs)
@@ -390,24 +412,14 @@ class FieldElement:
             raise ValueError("digits must be >= 1")
         if self.is_zero():
             return "0"
-        if all(c == 0 for c in self.coeffs[1:]):
+        if not any(self.coeffs[1:]):
             return _decimal_of_fraction(self.coeffs[0], digits)
         q = math.lcm(*(c.denominator for c in self.coeffs))
         ints = tuple(int(c * q) for c in self.coeffs)
-        ctx = self.ctx
         s = 64
         while s <= _MAX_SCALE_BITS:
-            L = ctx.beta_floor_scaled(s)
-            lo = hi = 0
-            for k, c in enumerate(ints):
-                if c == 0:
-                    continue
-                scale = 1 << (s * (ctx.degree - 1 - k))
-                a = c * L**k * scale
-                b = c * (L + 1) ** k * scale
-                lo += min(a, b)
-                hi += max(a, b)
-            den = q * (1 << (s * (ctx.degree - 1)))
+            lo, hi = self.ctx.bracket(ints, s)
+            den = q << s * (self.ctx.degree - 1)
             slo = _decimal_of_fraction(Fraction(lo, den), digits)
             shi = _decimal_of_fraction(Fraction(hi, den), digits)
             if slo == shi:
@@ -447,7 +459,9 @@ def _decimal_of_fraction(x: Fraction, digits: int) -> str:
         return "0"
     sign = "-" if x < 0 else ""
     x = abs(x)
-    e = len(str(x.numerator)) - len(str(x.denominator))
+    # estimate the decimal exponent from bit lengths: converting a numerator or
+    # denominator of thousands of digits to str would hit CPython's 4300-digit cap
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 3 // 10
     while x >= 10 ** (e + 1):
         e += 1
     while x < 10**e:

@@ -9,12 +9,13 @@ available paths and demands exact agreement.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .expansions import is_admissible, rotation_numerators
+from .expansions import is_admissible, orbit_min_numerator
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
-from .words import lex_min_rotation, primitive_representatives, rotations
+from .words import lex_min_rotation, primitive_representatives
 
 BRUTE, THEOREM, CLOSED = "BruteForce", "TheoremWord", "ClosedForm"
 
@@ -57,24 +58,17 @@ def _scan_range(kind_value: str, p: int, lo: int, hi: int):
     best_num: tuple[int, ...] | None = None
     best_word: str | None = None
     ties = 0
-    for w in primitive_representatives(p, lo, hi):
+    # pruning by delta(beta) drops only inadmissible words; each survivor is still checked
+    for w in primitive_representatives(p, lo, hi, below=ctx.delta.period):
         if not is_admissible(w, ctx).admissible:
             continue
-        nums = rotation_numerators(w, ctx)
-        lowest = 0
-        for k in range(1, p):
-            if ctx.int_compare(nums[k], nums[lowest]) < 0:
-                lowest = k
-        # dual-route contract: the value minimum must sit at the lex-min rotation
-        rots = rotations(w)
-        if rots[lowest] != min(rots):
-            raise RuntimeError(f"orbit/lex minimum disagreement for {w}")
+        _, num = orbit_min_numerator(w, ctx)
         if best_num is None:
-            best_num, best_word, ties = nums[lowest], w, 1
+            best_num, best_word, ties = num, w, 1
             continue
-        c = ctx.int_compare(nums[lowest], best_num)
+        c = ctx.int_compare(num, best_num)
         if c > 0:
-            best_num, best_word, ties = nums[lowest], w, 1
+            best_num, best_word, ties = num, w, 1
         elif c == 0:
             ties += 1  # enumeration order is increasing, keep the earlier word
     return best_num, best_word, ties
@@ -98,6 +92,8 @@ def brute_force_S(
         )
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # more processes than cores only add start-up cost; the result does not depend on it
+    workers = min(workers, os.cpu_count() or 1)
 
     span = 1 << p
     if workers == 1 or span < 4 * workers:

@@ -21,7 +21,7 @@ _SEQ_RE = re.compile(r"^([01]*)\(([01]+)\)$")
 
 def check_word(w: str) -> str:
     """Validate a binary word: nonempty, every digit 0 or 1."""
-    if not w or any(c not in "01" for c in w):
+    if not w or w.strip("01"):
         raise ValueError(f"not a nonempty binary word: {w!r}")
     return w
 
@@ -58,17 +58,11 @@ def lex_min_rotation(w: str) -> str:
 def cyclic_lt(a: str, b: str) -> bool:
     """Whether (a)^inf is strictly lexicographically below (b)^inf.
 
-    Inspects at most lcm(len(a), len(b)) symbols; beyond that both streams
+    Compares the first lcm(len(a), len(b)) symbols; beyond that both streams
     repeat with the common period, so equality is forced.
     """
-    la, lb = len(a), len(b)
-    if a == b:
-        return False
-    for i in range(math.lcm(la, lb)):
-        x, y = a[i % la], b[i % lb]
-        if x != y:
-            return x < y
-    return False
+    n = math.lcm(len(a), len(b))
+    return a * (n // len(a)) < b * (n // len(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +78,7 @@ class PeriodicSeq:
     period: str
 
     def __post_init__(self) -> None:
-        if any(c not in "01" for c in self.pre):
+        if self.pre.strip("01"):
             raise ValueError(f"bad preperiod: {self.pre!r}")
         check_word(self.period)
 
@@ -171,8 +165,35 @@ def shift(s: "PeriodicSeq | str") -> PeriodicSeq:
     return as_seq(s).shift()
 
 
+def _exceed_automaton(below: str, n: int) -> tuple[list[int], list[bool]]:
+    """Prefix automaton of the first n symbols of (below)^inf.
+
+    Its state after reading a word is the length m of the longest suffix of
+    the word that is a prefix of the stream (Knuth-Morris-Pratt).  Reading
+    "0" moves to zero_next[m].  Reading "1" gives the word a factor greater
+    than the stream prefix of the same length exactly when one_blocked[m];
+    otherwise it moves to m + 1.  States 0..n-1 are defined.
+    """
+    stream = (below * (n // len(below) + 1))[:n]
+    fail = [0] * n  # fail[m]: longest proper border of stream[:m], for m >= 1
+    for m in range(2, n):
+        k = fail[m - 1]
+        while k and stream[k] != stream[m - 1]:
+            k = fail[k]
+        fail[m] = k + 1 if stream[k] == stream[m - 1] else 0
+    zero_next = [0] * n
+    one_blocked = [False] * n
+    for m in range(n):
+        # the suffixes that match a stream prefix are the border chain m, fail[m], ..., 0
+        if stream[m] == "0":
+            zero_next[m], one_blocked[m] = m + 1, True
+        elif m:
+            zero_next[m], one_blocked[m] = zero_next[fail[m]], one_blocked[fail[m]]
+    return zero_next, one_blocked
+
+
 def primitive_representatives(
-    p: int, lo: int | None = None, hi: int | None = None
+    p: int, lo: int | None = None, hi: int | None = None, below: str | None = None
 ) -> Iterator[str]:
     """Lexicographically least rotations of the primitive binary words of length p.
 
@@ -180,6 +201,12 @@ def primitive_representatives(
     length p), in increasing value of the word read as a binary number.  The
     optional [lo, hi) value range restricts output to a disjoint sub-range, so
     the enumeration can be partitioned across workers.
+
+    With `below`, a word is skipped together with every extension of its
+    prefix as soon as the prefix has a factor greater than the prefix of
+    (below)^inf of the same length: the rotation starting at that factor
+    already exceeds (below)^inf.  Output stays in the same order, so with
+    below = delta(beta) every admissible class is still yielded.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -187,21 +214,48 @@ def primitive_representatives(
         lo = 0
     if hi is None:
         hi = 1 << p
-    # Duval / FKM: generates all binary Lyndon words of length <= p in
+    bounded = lo > 0 or hi < 1 << p
+    # an all-ones stream is exceeded by no word
+    zero_next, one_blocked = _exceed_automaton(below or "1", p)
+    # Duval / FKM: generates the binary Lyndon words of length <= p in
     # lexicographic order; those of length exactly p are the representatives.
-    w = [-1]
-    while w:
-        w[-1] += 1
-        if len(w) == p:
-            v = 0
-            for bit in w:
-                v = (v << 1) | bit
+    # w holds ASCII digits; state[i] is the automaton state after w[:i].
+    w = bytearray(b"0")
+    state = [0, zero_next[0]]
+    while True:
+        n = len(w)
+        if n == p:
+            word = w.decode()
+            v = int(word, 2) if bounded else lo  # unbounded: every word is in range
             if v >= hi:
                 return  # values at fixed length only grow from here
             if v >= lo:
-                yield "".join("01"[bit] for bit in w)
-        m = len(w)
-        while len(w) < p:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 1:
+                yield word
+        else:
+            # periodic extension to length p, cut before the first pruned symbol
+            for i in range(n, p):
+                bit = w[i - n]
+                m = state[-1]
+                if bit == 48:
+                    state.append(zero_next[m])
+                elif one_blocked[m]:
+                    break
+                else:
+                    state.append(m + 1)
+                w.append(bit)
+        # next Lyndon word: drop trailing ones and turn the last zero into a
+        # one.  If that prefix is pruned, so is every word up to the next
+        # candidate, since all of them extend it: continue from the shorter prefix.
+        while True:
+            while w and w[-1] == 49:
+                w.pop()
+                state.pop()
+            if not w:
+                return
             w.pop()
+            state.pop()
+            m = state[-1]
+            if not one_blocked[m]:
+                w.append(49)
+                state.append(m + 1)
+                break

@@ -1,6 +1,7 @@
 import pytest
 
-from betahole.cli import main
+import betahole.cli as cli_mod
+from betahole.cli import MAX_DIGITS, main
 
 
 def run(capsys, *argv):
@@ -47,6 +48,23 @@ class TestSurvivorCommand:
         with pytest.raises(SystemExit) as exc:
             main(["survivor", "--beta", "7", "--p", "3"])
         assert exc.value.code == 2
+
+    def test_digits_limit(self, capsys, monkeypatch):
+        code, out = run(
+            capsys, "survivor", "--beta", "2", "--p", "3", "--method", "theorem",
+            "--digits", str(MAX_DIGITS),
+        )
+        value = out.split("≈ ")[1].strip()  # 3/7 = 0.428571...
+        assert code == 0 and value.startswith("0.42857") and len(value) == 2 + MAX_DIGITS
+
+        def no_computation(*args, **kwargs):
+            raise AssertionError("computed despite an out-of-range --digits")
+
+        monkeypatch.setattr(cli_mod, "_record", no_computation)
+        with pytest.raises(SystemExit) as exc:
+            main(["survivor", "--beta", "golden", "--p", "3", "--digits", str(MAX_DIGITS + 1)])
+        assert exc.value.code == 2
+        assert f"between 1 and {MAX_DIGITS}" in capsys.readouterr().err
 
     def test_oversized_p_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

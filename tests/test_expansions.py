@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import betahole.expansions as expansions
 from betahole.expansions import (
+    AdmissibilityReport,
     greedy_digits,
     is_admissible,
     orbit_min,
@@ -12,7 +15,8 @@ from betahole.expansions import (
     t_beta,
 )
 from betahole.numberfield import BetaKind, eval_eventually_periodic, eval_periodic, make_context
-from betahole.words import PeriodicSeq, lex_min_rotation, rotations
+from betahole.survivor import brute_force_S
+from betahole.words import LT, PeriodicSeq, lex_compare, lex_min_rotation, rotations
 
 ALL_KINDS = list(BetaKind)
 
@@ -158,6 +162,21 @@ class TestAdmissibility:
                     assert all(cyclic_lt(rots[i], ctx.delta.period) for i in range(k))
 
 
+def reference_admissibility(w, ctx):
+    """Per-rotation loop on lex_compare, smallest failing offset first."""
+    for offset, r in enumerate(rotations(w)):
+        if lex_compare(r, ctx.delta) != LT:
+            return AdmissibilityReport(w, False, offset, (r, str(ctx.delta)))
+    return AdmissibilityReport(w, True)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(w=st.text(alphabet="01", min_size=1, max_size=16))
+def test_admissibility_matches_reference_loop(kind, w):
+    ctx = make_context(kind)
+    assert is_admissible(w, ctx) == reference_admissibility(w, ctx)
+
+
 class TestOrbitMin:
     def test_golden_example(self):
         ctx = make_context("golden")
@@ -192,6 +211,24 @@ class TestOrbitMin:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             orbit_min("01", make_context("golden"))
+
+    @pytest.mark.parametrize("fault", ["tie", "elsewhere"])
+    def test_dual_route_faults_raise(self, monkeypatch, fault):
+        # unreachable on correct code (Parry); stubbed numerators stand in for a fault
+        real = rotation_numerators
+
+        def faulty(w, ctx):
+            nums = real(w, ctx)
+            if fault == "tie":
+                return nums[:-1] + nums[:1]  # a second rotation attains the minimum
+            return nums[1:] + nums[:1]  # the minimum moves off the lex-min rotation
+
+        monkeypatch.setattr(expansions, "rotation_numerators", faulty)
+        ctx = make_context("golden")
+        with pytest.raises(RuntimeError):
+            orbit_min("001", ctx)
+        with pytest.raises(RuntimeError):
+            brute_force_S(ctx, 3)
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:

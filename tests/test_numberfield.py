@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import betahole.numberfield as numberfield
 from betahole.numberfield import (
     NEG,
     POS,
@@ -129,6 +131,53 @@ class TestSign:
                 assert text.startswith("-")
 
 
+def reference_int_sign(ctx, coeffs):
+    """The bracketing loop that recomputes L**k on every call, as a reference."""
+    if all(c == 0 for c in coeffs):
+        return ZERO
+    if ctx.degree == 1 or all(c == 0 for c in coeffs[1:]):
+        return POS if coeffs[0] > 0 else NEG
+    s = 64
+    while True:
+        L = ctx.beta_floor_scaled(s)
+        lo = hi = 0
+        for k, c in enumerate(coeffs):
+            scale = 1 << (s * (ctx.degree - 1 - k))
+            a, b = c * L**k * scale, c * (L + 1) ** k * scale
+            lo, hi = lo + min(a, b), hi + max(a, b)
+        if lo > 0:
+            return POS
+        if hi < 0:
+            return NEG
+        s *= 2
+
+
+small_ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(data=st.data())
+def test_int_sign_matches_reference_and_ordering(kind, data):
+    ctx = make_context(kind)
+    zero = (0,) * ctx.degree
+    coeffs = data.draw(st.one_of(st.just(zero), st.tuples(*[small_ints] * ctx.degree)))
+    sign = ctx.int_sign(coeffs)
+    assert sign == reference_int_sign(ctx, coeffs)
+    x = FieldElement.from_int_coeffs(ctx, coeffs)
+    assert sign == (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("kind", ["golden", "tribonacci"])
+def test_int_sign_deep_refinement_matches_reference(kind):
+    # beta**-n is tiny but has integer coefficients that grow with n
+    ctx = make_context(kind)
+    for n in range(0, 300, 13):
+        coeffs = tuple(int(c) for c in ctx.beta_pow(-n).coeffs)
+        negated = tuple(-c for c in coeffs)
+        assert ctx.int_sign(coeffs) == reference_int_sign(ctx, coeffs) == POS
+        assert ctx.int_sign(negated) == reference_int_sign(ctx, negated) == NEG
+
+
 class TestDecimal:
     def test_examples(self):
         ctx = make_context("2")
@@ -137,6 +186,13 @@ class TestDecimal:
         assert ctx.zero().decimal(5) == "0"
         assert ctx.from_rational(10).decimal(3) == "10.0"
         assert ctx.from_rational(Fraction(-3, 7)).decimal(3) == "-0.429"
+
+    def test_scale_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numberfield, "_MAX_SCALE_BITS", 64)  # small stand-in
+        b = make_context("golden").beta()
+        assert b.decimal(10) == "1.618033989"  # one 64-bit bracket is enough
+        with pytest.raises(RuntimeError):
+            b.decimal(40)
 
     def test_ten_digit_default_scale(self):
         b = make_context("golden").beta()

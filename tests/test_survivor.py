@@ -1,7 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+import betahole.survivor as survivor
 from betahole.expansions import is_admissible
 from betahole.numberfield import BetaKind, eval_periodic, make_context
 from betahole.survivor import (
@@ -101,6 +103,36 @@ class TestBruteForce:
         for workers in (2, 5):
             rec = brute_force_S(ctx, p, workers=workers)
             assert rec == base
+
+
+class InProcessPool:
+    """Stand-in for ProcessPoolExecutor that records its size and starts no process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        InProcessPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerClamp:
+    @pytest.mark.parametrize("cores,pool_size", [(2, [2]), (3, [3]), (None, [])])
+    def test_workers_are_clamped_to_the_core_count(self, monkeypatch, cores, pool_size):
+        ctx = make_context("tribonacci")
+        base = brute_force_S(ctx, 10)
+        monkeypatch.setattr(survivor, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(InProcessPool, "created", [])
+        assert brute_force_S(ctx, 10, workers=5000) == base
+        assert InProcessPool.created == pool_size  # None cores: one worker, no pool
 
 
 class TestClosedForm:

@@ -1,11 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from betahole.expansions import is_admissible
+from betahole.numberfield import BetaKind, make_context
 from betahole.words import (
     EQ,
     GT,
     LT,
     PeriodicSeq,
+    _exceed_automaton,
     cyclic_lt,
     lex_compare,
     lex_min_rotation,
@@ -151,6 +154,10 @@ class TestLexCompare:
                 assert cyclic_lt(a, b) == (lex_compare(a, b) == LT)
 
     @given(words, words)
+    def test_cyclic_lt_matches_lex_compare(self, a, b):
+        assert cyclic_lt(a, b) == (lex_compare(a, b) == LT)
+
+    @given(words, words)
     def test_antisymmetry(self, a, b):
         assert lex_compare(a, b) == -lex_compare(b, a)
 
@@ -208,3 +215,64 @@ class TestEnumeration:
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
             list(primitive_representatives(0))
+
+
+def exceeds_naively(w, below):
+    """Whether some factor of w is greater than the prefix of (below)^inf of its length."""
+    stream = below * (len(w) // len(below) + 1)
+    return any(
+        w[i:j] > stream[: j - i] for i in range(len(w)) for j in range(i + 1, len(w) + 1)
+    )
+
+
+class TestPrunedEnumeration:
+    @pytest.mark.parametrize("below", ["1", "10", "110", "100", "1010011", "0", "01"])
+    def test_automaton_matches_naive_factor_check(self, below):
+        n = 10
+        zero_next, one_blocked = _exceed_automaton(below, n)
+        stream = below * (n // len(below) + 1)
+        for w in (format(v, f"0{k}b") for k in range(1, n + 1) for v in range(1 << k)):
+            m, blocked = 0, False
+            for i, ch in enumerate(w):
+                if ch == "1" and one_blocked[m]:
+                    blocked = True
+                    break
+                m = zero_next[m] if ch == "0" else m + 1
+                # the state is the longest suffix of the prefix read that starts the stream
+                assert m == max(k for k in range(i + 2) if w[: i + 1].endswith(stream[:k])), w
+            assert blocked == exceeds_naively(w, below), w
+
+    @pytest.mark.parametrize("below", ["1", "10", "110", "100", "1010011"])
+    def test_pruned_output_is_the_words_without_an_exceeding_factor(self, below):
+        for p in range(1, 13):
+            assert list(primitive_representatives(p, below=below)) == [
+                w for w in primitive_representatives(p) if not exceeds_naively(w, below)
+            ]
+
+    @pytest.mark.parametrize("kind", list(BetaKind))
+    def test_pruning_keeps_exactly_the_admissible_words(self, kind):
+        ctx = make_context(kind)
+        below = ctx.delta.period
+        for p in range(1, 15):
+            span = 1 << p
+            for k in (1, 2, 3, 7):
+                bounds = [span * i // k for i in range(k + 1)]
+                for lo, hi in zip(bounds, bounds[1:]):
+                    plain = list(primitive_representatives(p, lo, hi))
+                    pruned = list(primitive_representatives(p, lo, hi, below=below))
+                    assert [w for w in pruned if is_admissible(w, ctx).admissible] == [
+                        w for w in plain if is_admissible(w, ctx).admissible
+                    ]
+                    if kind is BetaKind.BASE2:
+                        assert pruned == plain
+
+    def test_pruned_counts_at_p20(self):
+        yielded = {
+            kind: sum(
+                1
+                for p in range(1, 21)
+                for _ in primitive_representatives(p, below=make_context(kind).delta.period)
+            )
+            for kind in ("golden", "tribonacci")
+        }
+        assert yielded == {"golden": 2171, "tribonacci": 23034}
