@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .numberfield import BetaKind, make_context
+from .numberfield import MAX_DIGITS, BetaKind, make_context
 from .survivor import (
     BRUTE,
     CLOSED,
@@ -23,9 +23,6 @@ from .survivor import (
 )
 
 TABLE_HEADER = "p,word,exact,float,method"
-
-# decimal() rounds through int/str conversions, which CPython caps at 4300 digits
-MAX_DIGITS = 1000
 
 _METHOD_FLAGS = {"brute": BRUTE, "theorem": THEOREM, "closed": CLOSED}
 

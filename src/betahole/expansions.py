@@ -24,13 +24,18 @@ def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
         raise ValueError(f"argument outside {lo}: {x!r}")
 
 
+def _digit_step(r: FieldElement, ctx: BetaContext) -> tuple[str, FieldElement]:
+    """One greedy step: beta*r = digit + remainder, the remainder in [0, 1)."""
+    y = r * ctx.beta()
+    if (y - 1).sign() >= 0:
+        return "1", y - 1
+    return "0", y
+
+
 def t_beta(x: FieldElement, ctx: BetaContext) -> FieldElement:
     """One step of x -> beta*x mod 1; the integer part is found by exact sign tests."""
     _require_unit_interval(x)
-    y = x * ctx.beta()
-    if (y - 1).sign() >= 0:
-        y = y - 1
-    return y
+    return _digit_step(x, ctx)[1]
 
 
 def greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> str:
@@ -41,13 +46,8 @@ def greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> str:
     digits = []
     r = x
     for _ in range(n):
-        y = r * ctx.beta()
-        if (y - 1).sign() >= 0:
-            digits.append("1")
-            r = y - 1
-        else:
-            digits.append("0")
-            r = y
+        d, r = _digit_step(r, ctx)
+        digits.append(d)
     return "".join(digits)
 
 
@@ -77,13 +77,8 @@ def quasi_greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> "PeriodicS
             j = seen[r]
             return PeriodicSeq("".join(digits[:j]), "".join(digits[j:])).canonical()
         seen[r] = i
-        y = r * ctx.beta()
-        if (y - 1).sign() >= 0:
-            digits.append("1")
-            r = y - 1
-        else:
-            digits.append("0")
-            r = y
+        d, r = _digit_step(r, ctx)
+        digits.append(d)
     return "".join(digits)
 
 
@@ -180,9 +175,7 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     if not report.admissible:
         raise ValueError(f"inadmissible word: {report.render()}")
     best, num = orbit_min_numerator(w, ctx)
-    value = FieldElement.from_int_coeffs(ctx, num)
-    den = FieldElement.from_int_coeffs(ctx, ctx.int_beta_pow(len(w))) - 1
-    return w[best:] + w[:best], value / den
+    return w[best:] + w[:best], ctx.periodic_value(num, len(w))
 
 
 def survives(w: str, t, ctx: BetaContext) -> bool:

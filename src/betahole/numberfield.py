@@ -1,11 +1,14 @@
 """Exact arithmetic in Q(beta) for beta in {2, golden ratio, tribonacci}.
 
-Elements are rational-coefficient polynomials in beta reduced modulo the
-(irreducible, monic) minimal polynomial, so equality is literal coefficient
-equality.  Signs are decided without floating point: an element is scaled to
-integer coefficients and bracketed with a dyadic isolating interval for the
-root, refined by bisection until the sign is definite.  Base 2 is carried as
-a degree-1 field so every kind runs through the same code path.
+An element is stored as integer numerators of 1, beta, beta^2, ... over one
+positive integer denominator, reduced modulo the (irreducible, monic)
+minimal polynomial and divided by the gcd of all of them, so equality is
+literal equality of the integers.  One integer kernel does all the work:
+multiplication by beta, powers of beta, and products and inverses through the
+integer matrix of multiplication by an element.  Signs are decided without
+floating point: the numerators are bracketed with a dyadic isolating interval
+for the root, refined by bisection until the sign is definite.  Base 2 is
+carried as a degree-1 field so every kind runs through the same code path.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .words import PeriodicSeq, as_seq, check_word
 NEG, ZERO, POS = -1, 0, 1
 
 _MAX_SCALE_BITS = 1 << 20  # refinement safety cap; never reached for nonzero input
+
+# decimal() rounds through int/str conversions, which CPython caps at 4300 digits
+MAX_DIGITS = 1000
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to 0/1 selector bytes
 
@@ -51,9 +57,8 @@ class BetaContext:
         "_reduction",
         "_floor_cache",
         "_bound_cache",
-        "_int_pow_cache",
+        "_int_powers",
         "_int_pow_columns",
-        "_pow_cache",
     )
 
     def __init__(self, kind: BetaKind) -> None:
@@ -67,45 +72,38 @@ class BetaContext:
         self._reduction = tuple(-c for c in minpoly[:-1])
         self._floor_cache: dict[int, int] = {}
         self._bound_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._int_pow_cache: list[tuple[int, ...]] = [
-            (1,) + (0,) * (self.degree - 1)
-        ]
-        # _int_pow_columns[j][k] == _int_pow_cache[k][j]
-        self._int_pow_columns = [[c] for c in self._int_pow_cache[0]]
-        self._pow_cache: list[FieldElement] = []
+        self._int_powers: list[tuple[int, ...]] = [(1,) + (0,) * (self.degree - 1)]
+        # _int_pow_columns[j][k] == _int_powers[k][j]
+        self._int_pow_columns = [[c] for c in self._int_powers[0]]
 
     @property
     def name(self) -> str:
         return self.kind.value
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.degree)
+        return FieldElement.from_int_coeffs(self, (0,) * self.degree)
 
     def one(self) -> "FieldElement":
         return self.from_rational(1)
 
     def from_rational(self, q) -> "FieldElement":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
-        return FieldElement(self, tuple(coeffs))
+        q = Fraction(q)
+        return FieldElement.from_int_coeffs(
+            self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator
+        )
 
     def beta(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.from_rational(2)
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        return self.beta_pow(1)
 
     def beta_pow(self, k: int) -> "FieldElement":
-        """beta**k for k >= 0, cached."""
+        """beta**k; k < 0 gives the inverse of beta**-k."""
         if k < 0:
             return self.one() / self.beta_pow(-k)
-        while len(self._pow_cache) <= k:
-            if not self._pow_cache:
-                self._pow_cache.append(self.one())
-            else:
-                self._pow_cache.append(self._pow_cache[-1] * self.beta())
-        return self._pow_cache[k]
+        return FieldElement.from_int_coeffs(self, self.int_beta_pow(k))
+
+    def periodic_value(self, num: tuple[int, ...], p: int) -> "FieldElement":
+        """num / (beta**p - 1): the value of a period-p expansion with numerator num."""
+        return FieldElement.from_int_coeffs(self, num) / (self.beta_pow(p) - 1)
 
     # -- integer-coefficient kernels (used by the enumeration hot path) --
 
@@ -125,7 +123,7 @@ class BetaContext:
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
-        cache = self._int_pow_cache
+        cache = self._int_powers
         while len(cache) <= k:
             cache.append(self.int_mul_beta(cache[-1]))
             for col, c in zip(self._int_pow_columns, cache[-1]):
@@ -217,64 +215,51 @@ def make_context(kind: "BetaKind | str") -> BetaContext:
     return ctx
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _cofactors(rows: list[tuple[int, ...]]) -> list[int]:
+    """First-row cofactors of a square integer matrix of size <= 3, by expansion."""
+    minors = ([r[:k] + r[k + 1 :] for r in rows[1:]] for k in range(len(rows)))
+    return [(-1) ** k * _det(m) for k, m in enumerate(minors)]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    return q, _poly_trim(a)
-
-
-def _poly_inverse(coeffs: tuple[Fraction, ...], minpoly: tuple[int, ...]) -> list[Fraction]:
-    """Inverse modulo the minimal polynomial via the extended Euclidean algorithm."""
-    r0 = [Fraction(c) for c in minpoly]
-    r1 = _poly_trim(list(coeffs))
-    t0: list[Fraction] = []
-    t1: list[Fraction] = [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = [Fraction(0)] * (len(q) + len(t1) - 1)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, tc in enumerate(t1):
-                    prod[i + j] += qc * tc
-        nxt = [Fraction(0)] * max(len(t0), len(prod))
-        for i, c in enumerate(t0):
-            nxt[i] += c
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        t0, t1 = t1, _poly_trim(nxt)
-    # minpoly is irreducible, so the gcd is the nonzero constant r1[0]
-    c = r1[0]
-    return [t / c for t in t1]
+def _det(rows: list[tuple[int, ...]]) -> int:
+    return sum(map(operator.mul, rows[0], _cofactors(rows))) if rows else 1
 
 
 class FieldElement:
-    """An exact element of Q(beta): c0 + c1*b + ... reduced mod the minpoly."""
+    """An exact element of Q(beta): (n0 + n1*b + ...) / den, reduced mod the minpoly.
 
-    __slots__ = ("ctx", "coeffs")
+    The numerators `nums` and the denominator `den > 0` are integers with no
+    common factor, so equal values have equal fields.
+    """
+
+    __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: BetaContext, coeffs: tuple[Fraction, ...]) -> None:
-        if len(coeffs) != ctx.degree:
-            raise ValueError("coefficient count must equal the field degree")
-        self.ctx = ctx
-        self.coeffs = coeffs
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._store(ctx, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @classmethod
-    def from_int_coeffs(cls, ctx: BetaContext, ints: tuple[int, ...]) -> "FieldElement":
-        return cls(ctx, tuple(Fraction(c) for c in ints))
+    def from_int_coeffs(
+        cls, ctx: BetaContext, ints: tuple[int, ...], den: int = 1
+    ) -> "FieldElement":
+        """The element sum(ints[k] * beta**k) / den, for den > 0."""
+        x = cls.__new__(cls)
+        x._store(ctx, ints, den)
+        return x
+
+    def _store(self, ctx: BetaContext, ints, den: int) -> None:
+        if len(ints) != ctx.degree:
+            raise ValueError("coefficient count must equal the field degree")
+        g = math.gcd(den, *ints)
+        self.ctx = ctx
+        self.nums = tuple(c // g for c in ints)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients of 1, beta, beta^2, ..., in lowest terms."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -285,22 +270,27 @@ class FieldElement:
             return self.ctx.from_rational(other)
         return None
 
+    def _combine(self, other, op) -> "FieldElement":
+        d, e = self.den, other.den
+        nums = tuple(op(a * e, b * d) for a, b in zip(self.nums, other.nums))
+        return FieldElement.from_int_coeffs(self.ctx, nums, d * e)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, tuple(map(operator.add, self.coeffs, o.coeffs)))
+        return self._combine(o, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-a for a in self.coeffs))
+        return FieldElement.from_int_coeffs(self.ctx, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, tuple(map(operator.sub, self.coeffs, o.coeffs)))
+        return self._combine(o, operator.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -308,34 +298,32 @@ class FieldElement:
             return NotImplemented
         return o - self
 
+    def _matrix(self) -> list[tuple[int, ...]]:
+        """Rows of the integer matrix of multiplication by nums; column k is nums * beta**k."""
+        cols = [self.nums]
+        for _ in range(1, self.ctx.degree):
+            cols.append(self.ctx.int_mul_beta(cols[-1]))
+        return list(zip(*cols))
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.ctx.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        red = self.ctx._reduction
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = Fraction(0)
-                for i, r in enumerate(red):
-                    prod[k - d + i] += c * r
-        return FieldElement(self.ctx, tuple(prod[:d]))
+        nums = tuple(sum(map(operator.mul, row, o.nums)) for row in self._matrix())
+        return FieldElement.from_int_coeffs(self.ctx, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """Solve (multiplication matrix) * y = 1 by Cramer's rule; x^-1 = den * y."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(beta)")
-        inv = _poly_inverse(self.coeffs, self.ctx.minpoly)
-        inv += [Fraction(0)] * (self.ctx.degree - len(inv))
-        return FieldElement(self.ctx, tuple(inv))
+        rows = self._matrix()
+        cof = _cofactors(rows)  # the right-hand side 1 has its only nonzero entry first
+        det = sum(map(operator.mul, rows[0], cof))  # the norm of nums, nonzero
+        if det < 0:
+            det, cof = -det, [-c for c in cof]
+        return FieldElement.from_int_coeffs(self.ctx, tuple(self.den * c for c in cof), det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -362,27 +350,21 @@ class FieldElement:
         return result
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def sign(self) -> int:
         """NEG, ZERO or POS; exact via interval refinement around the root."""
-        if self.is_zero():
-            return ZERO
-        if not any(self.coeffs[1:]):
-            return POS if self.coeffs[0] > 0 else NEG
-        q = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = tuple(int(c * q) for c in self.coeffs)
-        return self.ctx.int_sign(ints)
+        return self.ctx.int_sign(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ctx.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.ctx.kind, self.coeffs))
+        return hash((self.ctx.kind, self.nums, self.den))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -403,23 +385,19 @@ class FieldElement:
         return self._cmp(other) >= 0
 
     def decimal(self, digits: int) -> str:
-        """Decimal string correct to `digits` significant digits.
+        """Decimal string correct to `digits` significant digits, 1 <= digits <= MAX_DIGITS.
 
         Rational values round exactly; irrational ones refine the root
         interval until both interval ends round to the same string.
         """
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        if self.is_zero():
-            return "0"
-        if not any(self.coeffs[1:]):
-            return _decimal_of_fraction(self.coeffs[0], digits)
-        q = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = tuple(int(c * q) for c in self.coeffs)
+        if not 1 <= digits <= MAX_DIGITS:
+            raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
+        if not any(self.nums[1:]):
+            return _decimal_of_fraction(Fraction(self.nums[0], self.den), digits)
         s = 64
         while s <= _MAX_SCALE_BITS:
-            lo, hi = self.ctx.bracket(ints, s)
-            den = q << s * (self.ctx.degree - 1)
+            lo, hi = self.ctx.bracket(self.nums, s)
+            den = self.den << s * (self.ctx.degree - 1)
             slo = _decimal_of_fraction(Fraction(lo, den), digits)
             shi = _decimal_of_fraction(Fraction(hi, den), digits)
             if slo == shi:
@@ -487,10 +465,7 @@ def eval_periodic(word: str, ctx: BetaContext) -> FieldElement:
     Equals (sum of word[i] * beta^(p-i)) / (beta^p - 1).
     """
     check_word(word)
-    p = len(word)
-    num = FieldElement.from_int_coeffs(ctx, ctx.int_horner(word))
-    den = FieldElement.from_int_coeffs(ctx, ctx.int_beta_pow(p)) - 1
-    return num / den
+    return ctx.periodic_value(ctx.int_horner(word), len(word))
 
 
 def eval_eventually_periodic(seq: "PeriodicSeq | str", ctx: BetaContext) -> FieldElement:
@@ -500,5 +475,4 @@ def eval_eventually_periodic(seq: "PeriodicSeq | str", ctx: BetaContext) -> Fiel
     if not seq.pre:
         return tail
     head = FieldElement.from_int_coeffs(ctx, ctx.int_horner(seq.pre))
-    den = FieldElement.from_int_coeffs(ctx, ctx.int_beta_pow(len(seq.pre)))
-    return (head + tail) / den
+    return (head + tail) / ctx.beta_pow(len(seq.pre))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .expansions import is_admissible, orbit_min_numerator
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
@@ -48,6 +49,25 @@ class SurvivorRecord:
         return line
 
 
+def _best(ctx: BetaContext, candidates):
+    """Fold (numerator, word, ties) triples, given in increasing word order.
+
+    Keeps the largest numerator (None entries are skipped) and sums the ties
+    of equal ones; the earliest word wins a tie.
+    """
+    best_num: tuple[int, ...] | None = None
+    best_word: str | None = None
+    ties = 0
+    for num, word, n in candidates:
+        if num is None:
+            continue
+        if best_num is None or (c := ctx.int_compare(num, best_num)) > 0:
+            best_num, best_word, ties = num, word, n
+        elif c == 0:
+            ties += n
+    return best_num, best_word, ties
+
+
 def _scan_range(kind_value: str, p: int, lo: int, hi: int):
     """Best admissible class in the value range [lo, hi); pure, fork-safe.
 
@@ -55,23 +75,12 @@ def _scan_range(kind_value: str, p: int, lo: int, hi: int):
     tie count) with ties resolved toward the lexicographically smaller word.
     """
     ctx = make_context(kind_value)
-    best_num: tuple[int, ...] | None = None
-    best_word: str | None = None
-    ties = 0
     # pruning by delta(beta) drops only inadmissible words; each survivor is still checked
-    for w in primitive_representatives(p, lo, hi, below=ctx.delta.period):
-        if not is_admissible(w, ctx).admissible:
-            continue
-        _, num = orbit_min_numerator(w, ctx)
-        if best_num is None:
-            best_num, best_word, ties = num, w, 1
-            continue
-        c = ctx.int_compare(num, best_num)
-        if c > 0:
-            best_num, best_word, ties = num, w, 1
-        elif c == 0:
-            ties += 1  # enumeration order is increasing, keep the earlier word
-    return best_num, best_word, ties
+    words = primitive_representatives(p, lo, hi, below=ctx.delta.period)
+    return _best(
+        ctx,
+        ((orbit_min_numerator(w, ctx)[1], w, 1) for w in words if is_admissible(w, ctx).admissible),
+    )
 
 
 def brute_force_S(
@@ -100,35 +109,16 @@ def brute_force_S(
         parts = [_scan_range(ctx.kind.value, p, 0, span)]
     else:
         bounds = [span * i // workers for i in range(workers + 1)]
-        jobs = [(ctx.kind.value, p, bounds[i], bounds[i + 1]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_range_star, jobs))
+            parts = list(
+                pool.map(_scan_range, repeat(ctx.kind.value), repeat(p), bounds[:-1], bounds[1:])
+            )
 
-    best_num: tuple[int, ...] | None = None
-    best_word: str | None = None
-    ties = 0
-    for num, word, part_ties in parts:
-        if num is None:
-            continue
-        if best_num is None:
-            best_num, best_word, ties = num, word, part_ties
-            continue
-        c = ctx.int_compare(num, best_num)
-        if c > 0:
-            best_num, best_word, ties = num, word, part_ties
-        elif c == 0:
-            ties += part_ties  # ranges ascend, earlier word already wins the tie
-
+    best_num, best_word, ties = _best(ctx, parts)
     if best_num is None:
         return SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
-    num = FieldElement.from_int_coeffs(ctx, best_num)
-    den = FieldElement.from_int_coeffs(ctx, ctx.int_beta_pow(p)) - 1
-    value = num / den
+    value = ctx.periodic_value(best_num, p)
     return SurvivorRecord(p, best_word, value, value.decimal(digits), BRUTE, False, ties)
-
-
-def _scan_range_star(args):
-    return _scan_range(*args)
 
 
 def _block(reps: int) -> str:

@@ -36,10 +36,6 @@ def smallest_period(w: str) -> int:
     return n  # unreachable; q = n always matches
 
 
-def is_primitive(w: str) -> bool:
-    return smallest_period(w) == len(w)
-
-
 def rotations(w: str) -> list[str]:
     """All cyclic rotations of w, in rotation-offset order (offset 0 first)."""
     check_word(w)
@@ -53,16 +49,6 @@ def lex_min_rotation(w: str) -> str:
     differing position settles both the finite and the infinite comparison.
     """
     return min(rotations(w))
-
-
-def cyclic_lt(a: str, b: str) -> bool:
-    """Whether (a)^inf is strictly lexicographically below (b)^inf.
-
-    Compares the first lcm(len(a), len(b)) symbols; beyond that both streams
-    repeat with the common period, so equality is forced.
-    """
-    n = math.lcm(len(a), len(b))
-    return a * (n // len(a)) < b * (n // len(b))
 
 
 @dataclass(frozen=True, eq=False)

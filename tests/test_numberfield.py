@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -97,6 +98,44 @@ class TestArithmetic:
                 assert a * a.inverse() == ctx.one()
 
 
+class TestRepresentation:
+    """Integer numerators over one positive denominator, in lowest terms."""
+
+    @staticmethod
+    def assert_same(x, y):
+        assert x == y and hash(x) == hash(y)
+        assert (x.nums, x.den) == (y.nums, y.den)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_equal_values_from_different_paths(self, kind):
+        ctx = make_context(kind)
+        zeros = (Fraction(0),) * (ctx.degree - 1)
+        half = ctx.from_rational(Fraction(1, 2))
+        self.assert_same(FieldElement(ctx, (Fraction(2, 4),) + zeros), half)
+        self.assert_same(FieldElement.from_int_coeffs(ctx, (3,) + (0,) * (ctx.degree - 1), 6), half)
+        common = FieldElement.from_int_coeffs(ctx, tuple(range(4, 4 + 2 * ctx.degree, 2)), 10)
+        assert common.den == 5 and common.nums == tuple(range(2, 2 + ctx.degree))
+        rng = random.Random(f"repr-{kind.value}")
+        for _ in range(200):
+            a, b = random_element(ctx, rng), random_element(ctx, rng)
+            derived = [a, -a, a - b, a * b]
+            if not b.is_zero():
+                self.assert_same((a / b) * b, a)
+                derived.append(b.inverse())
+            self.assert_same(FieldElement(ctx, a.coeffs), a)
+            for x in derived:
+                assert x.den > 0
+                assert math.gcd(x.den, *x.nums) == 1
+
+    def test_inverse_with_negative_norm(self):
+        # N(beta) = -1 for golden, so Cramer's determinant is negative
+        ctx = make_context("golden")
+        inv = ctx.beta().inverse()
+        assert inv.den > 0
+        self.assert_same(inv, ctx.beta() - 1)
+        self.assert_same(ctx.beta_pow(-1), inv)
+
+
 class TestSign:
     def test_examples(self):
         ctx = make_context("golden")
@@ -186,6 +225,15 @@ class TestDecimal:
         assert ctx.zero().decimal(5) == "0"
         assert ctx.from_rational(10).decimal(3) == "10.0"
         assert ctx.from_rational(Fraction(-3, 7)).decimal(3) == "-0.429"
+
+    def test_digits_bound(self):
+        b = make_context("golden").beta()
+        with pytest.raises(ValueError, match="digits must be between 1 and 1000"):
+            b.decimal(5000)
+        with pytest.raises(ValueError, match="digits must be between 1 and 1000"):
+            b.decimal(0)
+        text = b.decimal(numberfield.MAX_DIGITS)
+        assert text.startswith("1.6180339887") and len(text) == 1 + numberfield.MAX_DIGITS
 
     def test_scale_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numberfield, "_MAX_SCALE_BITS", 64)  # small stand-in

@@ -105,6 +105,15 @@ class TestBruteForce:
             assert rec == base
 
 
+def test_best_fold_keeps_the_earliest_word_and_sums_ties():
+    # the fold that serves both one range's words and the merge of the ranges' results
+    ctx = make_context("golden")
+    low, high = (1, 0), (0, 1)  # 1 < beta
+    parts = [(None, None, 0), (low, "a", 2), (high, "b", 1), (high, "c", 3), (low, "d", 1)]
+    assert survivor._best(ctx, parts) == (high, "b", 4)
+    assert survivor._best(ctx, [(None, None, 0)]) == (None, None, 0)
+
+
 class InProcessPool:
     """Stand-in for ProcessPoolExecutor that records its size and starts no process."""
 

@@ -9,7 +9,6 @@ from betahole.words import (
     LT,
     PeriodicSeq,
     _exceed_automaton,
-    cyclic_lt,
     lex_compare,
     lex_min_rotation,
     primitive_representatives,
@@ -147,15 +146,6 @@ class TestLexCompare:
         assert lex_compare(PeriodicSeq("0", "1"), PeriodicSeq("", "01")) == GT
         # 0111... equals 0(1) however it is presented
         assert lex_compare(PeriodicSeq("01", "1"), PeriodicSeq("0", "11")) == EQ
-
-    def test_cyclic_lt_agrees(self):
-        for a in ("0", "01", "011", "110", "10"):
-            for b in ("1", "10", "110", "011"):
-                assert cyclic_lt(a, b) == (lex_compare(a, b) == LT)
-
-    @given(words, words)
-    def test_cyclic_lt_matches_lex_compare(self, a, b):
-        assert cyclic_lt(a, b) == (lex_compare(a, b) == LT)
 
     @given(words, words)
     def test_antisymmetry(self, a, b):
