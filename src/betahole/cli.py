@@ -16,6 +16,7 @@ from .survivor import (
     CSV_HEADER,
     THEOREM,
     SurvivorRecord,
+    _brute_records,
     brute_force_S,
     closed_record,
     cross_check,
@@ -121,11 +122,15 @@ def cmd_table(args, parser) -> int:
         parser.error("table requires a single --method (brute, theorem or closed)")
     kind = BetaKind(args.beta)
     method = _METHOD_FLAGS[args.method or "theorem"]
-    records = []
-    for p in range(1, args.pmax + 1):
-        rec = _record(method, kind, p, args)
-        if rec is not None:
-            records.append(rec)
+    ps = range(1, args.pmax + 1)
+    if method == BRUTE:
+        records = list(
+            _brute_records(
+                make_context(kind), ps, args.workers, args.allow_large_p, args.digits
+            )
+        )
+    else:
+        records = [r for p in ps if (r := _record(method, kind, p, args)) is not None]
     if args.format == "svg":
         points = [(r.p, r.value_float) for r in records]
         body = _svg(points, f"S(p) for beta={kind.value}, p=1..{args.pmax}")

@@ -5,14 +5,21 @@ contains a point of smallest period p is found by (1) exhaustive search over
 primitive cyclic words, (2) the known critical words per period class, and
 (3) closed-form expressions in Q(beta).  The cross-check engine runs all
 available paths and demands exact agreement.
+
+The exhaustive search with W workers stripes the delta(beta)-pruned Lyndon
+word stream round-robin into W shards: shard i takes words i, i + W, ...
+Each command opens at most one process pool (none when W = 1) and maps the
+W shards of every period through it; the shards' results are folded by one
+order-independent rule, so the output does not depend on W.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 from .expansions import is_admissible, orbit_min_numerator
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
@@ -50,10 +57,12 @@ class SurvivorRecord:
 
 
 def _best(ctx: BetaContext, candidates):
-    """Fold (numerator, word, ties) triples, given in increasing word order.
+    """Fold (numerator, word, ties) triples, given in any order.
 
     Keeps the largest numerator (None entries are skipped) and sums the ties
-    of equal ones; the earliest word wins a tie.
+    of equal ones; the lexicographically smallest word wins a tie, so the
+    result does not depend on the order of the triples.  All words have the
+    same length, so string order is value order.
     """
     best_num: tuple[int, ...] | None = None
     best_word: str | None = None
@@ -64,23 +73,62 @@ def _best(ctx: BetaContext, candidates):
         if best_num is None or (c := ctx.int_compare(num, best_num)) > 0:
             best_num, best_word, ties = num, word, n
         elif c == 0:
+            best_word = min(best_word, word)
             ties += n
     return best_num, best_word, ties
 
 
-def _scan_range(kind_value: str, p: int, lo: int, hi: int):
-    """Best admissible class in the value range [lo, hi); pure, fork-safe.
+def _scan_shard(kind_value: str, p: int, shard: int, shards: int):
+    """Best admissible class among words shard, shard + shards, ... of the
+    pruned enumeration; pure, fork-safe.
 
     Returns (numerator coefficients of the best orbit minimum, best word,
     tie count) with ties resolved toward the lexicographically smaller word.
+    Striping the word stream balances the shards: every Lyndon word of
+    length >= 2 starts with 0, so a split by value would leave all of them
+    in the first shard.
     """
     ctx = make_context(kind_value)
     # pruning by delta(beta) drops only inadmissible words; each survivor is still checked
-    words = primitive_representatives(p, lo, hi, below=ctx.delta.period)
+    words = islice(primitive_representatives(p, below=ctx.delta.period), shard, None, shards)
     return _best(
         ctx,
         ((orbit_min_numerator(w, ctx)[1], w, 1) for w in words if is_admissible(w, ctx).admissible),
     )
+
+
+def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):
+    """Yield the brute-force SurvivorRecord of each period in ps, in order.
+
+    Every period is checked against the caps before any word is enumerated.
+    The W = min(workers, cores) shards of each period run in one process
+    pool shared by all periods, or in this process when W = 1.
+    """
+    ps = list(ps)
+    for p in ps:
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if p > HARD_P_CAP:
+            raise ValueError(f"p={p} exceeds the enumeration cap of {HARD_P_CAP}")
+        if p > DEFAULT_P_CAP and not allow_large:
+            raise ValueError(
+                f"p={p} exceeds the default cap of {DEFAULT_P_CAP}; pass allow_large"
+            )
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # more processes than cores only add start-up cost; the result does not depend on it
+    workers = min(workers, os.cpu_count() or 1)
+    kind_value = ctx.kind.value
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for p in ps:
+            parts = run(_scan_shard, repeat(kind_value), repeat(p), range(workers), repeat(workers))
+            best_num, best_word, ties = _best(ctx, parts)
+            if best_num is None:
+                yield SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
+                continue
+            value = ctx.periodic_value(best_num, p)
+            yield SurvivorRecord(p, best_word, value, value.decimal(digits), BRUTE, False, ties)
 
 
 def brute_force_S(
@@ -91,34 +139,8 @@ def brute_force_S(
     digits: int = 10,
 ) -> SurvivorRecord:
     """Exhaustive maximum of the orbit minimum over admissible primitive classes."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p > HARD_P_CAP:
-        raise ValueError(f"p={p} exceeds the enumeration cap of {HARD_P_CAP}")
-    if p > DEFAULT_P_CAP and not allow_large:
-        raise ValueError(
-            f"p={p} exceeds the default cap of {DEFAULT_P_CAP}; pass allow_large"
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    # more processes than cores only add start-up cost; the result does not depend on it
-    workers = min(workers, os.cpu_count() or 1)
-
-    span = 1 << p
-    if workers == 1 or span < 4 * workers:
-        parts = [_scan_range(ctx.kind.value, p, 0, span)]
-    else:
-        bounds = [span * i // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_scan_range, repeat(ctx.kind.value), repeat(p), bounds[:-1], bounds[1:])
-            )
-
-    best_num, best_word, ties = _best(ctx, parts)
-    if best_num is None:
-        return SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
-    value = ctx.periodic_value(best_num, p)
-    return SurvivorRecord(p, best_word, value, value.decimal(digits), BRUTE, False, ties)
+    (record,) = _brute_records(ctx, [p], workers, allow_large, digits)
+    return record
 
 
 def _block(reps: int) -> str:
@@ -326,10 +348,11 @@ def cross_check(
     rows: list[CrossCheckRow] = []
     theorem_bad: list[str] = []
     formula_bad: list[str] = []
-    for p in range(1, p_max + 1):
+    # one pool serves every period of this kind
+    for brec in _brute_records(ctx, range(1, p_max + 1), workers, allow_large, digits):
+        p = brec.p
         trec = theorem_record(kind, p, digits)
         reference = trec.value
-        brec = brute_force_S(ctx, p, workers=workers, allow_large=allow_large, digits=digits)
         value_ok = (brec.value - reference).sign() == 0
         word_ok = True
         if trec.word is not None:

@@ -162,3 +162,25 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--pmax", "2")
         assert code == 3
         assert "mismatches:" in out and "synthetic disagreement" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--pmax", "21"],
+        ["table", "--beta", "2", "--method", "brute", "--pmax", "21"],
+    ],
+)
+def test_period_range_is_checked_before_any_enumeration(capsys, monkeypatch, argv):
+    import betahole.survivor as survivor
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr(survivor, "primitive_representatives", no_enumeration)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p=21 exceeds the default cap of 20" in captured.err

@@ -1,5 +1,6 @@
 import os
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -112,6 +113,20 @@ def test_best_fold_keeps_the_earliest_word_and_sums_ties():
     parts = [(None, None, 0), (low, "a", 2), (high, "b", 1), (high, "c", 3), (low, "d", 1)]
     assert survivor._best(ctx, parts) == (high, "b", 4)
     assert survivor._best(ctx, [(None, None, 0)]) == (None, None, 0)
+    # round-robin shards report out of word order; the smaller word still wins a tie
+    for order in permutations(parts):
+        assert survivor._best(ctx, order) == (high, "b", 4)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_round_robin_shards_partition_the_words(kind):
+    # in-process, so shard counts above the core count are covered too
+    ctx = make_context(kind)
+    for p in range(1, 15):
+        whole = survivor._scan_shard(kind.value, p, 0, 1)
+        for shards in (2, 3, 7):
+            parts = [survivor._scan_shard(kind.value, p, i, shards) for i in range(shards)]
+            assert survivor._best(ctx, parts) == whole, (p, shards)
 
 
 class InProcessPool:
@@ -142,6 +157,32 @@ class TestWorkerClamp:
         monkeypatch.setattr(InProcessPool, "created", [])
         assert brute_force_S(ctx, 10, workers=5000) == base
         assert InProcessPool.created == pool_size  # None cores: one worker, no pool
+
+
+class TestOnePoolPerCommand:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(survivor, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(InProcessPool, "created", [])
+        return InProcessPool.created
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_cross_check_opens_one_pool_for_all_periods(self, pools, kind):
+        base = cross_check(kind, 10)
+        assert pools == []
+        assert cross_check(kind, 10, workers=2) == base
+        assert pools == [2]
+
+    def test_verify_opens_one_pool_per_kind(self, pools, capsys):
+        from betahole.cli import main
+
+        assert main(["verify", "--pmax", "8", "--workers", "1"]) == 0
+        base = capsys.readouterr().out
+        assert pools == []
+        assert main(["verify", "--pmax", "8", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == base
+        assert pools == [2, 2, 2]
 
 
 class TestClosedForm:
