@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .numberfield import MAX_DIGITS, BetaKind, make_context
 from .survivor import (
     BRUTE,
     CLOSED,
     CSV_HEADER,
+    MAX_P,
     THEOREM,
     SurvivorRecord,
     _brute_records,
-    brute_force_S,
     closed_record,
     cross_check,
     theorem_record,
@@ -28,15 +29,15 @@ TABLE_HEADER = "p,word,exact,float,method"
 _METHOD_FLAGS = {"brute": BRUTE, "theorem": THEOREM, "closed": CLOSED}
 
 
-def _record(method: str, kind: BetaKind, p: int, args) -> SurvivorRecord | None:
+def _records(method: str, kind: BetaKind, ps, args) -> list[SurvivorRecord]:
+    """One method's records for the periods ps, skipping those without a closed form."""
     if method == BRUTE:
-        ctx = make_context(kind)
-        return brute_force_S(
-            ctx, p, workers=args.workers, allow_large=args.allow_large_p, digits=args.digits
+        return list(
+            _brute_records(make_context(kind), ps, args.workers, args.allow_large_p, args.digits)
         )
     if method == THEOREM:
-        return theorem_record(kind, p, digits=args.digits)
-    return closed_record(kind, p, digits=args.digits)
+        return [theorem_record(kind, p, digits=args.digits) for p in ps]
+    return [r for p in ps if (r := closed_record(kind, p, digits=args.digits)) is not None]
 
 
 def _table_csv_line(rec: SurvivorRecord) -> str:
@@ -99,38 +100,20 @@ def _svg(points: list[tuple[int, str]], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_survivor(args, parser) -> int:
-    if args.p is None:
-        parser.error("survivor requires --p")
-    method = args.method or "all"
-    methods = list(_METHOD_FLAGS.values()) if method == "all" else [_METHOD_FLAGS[method]]
+def cmd_survivor(args) -> int:
+    methods = _METHOD_FLAGS.values() if args.method == "all" else [_METHOD_FLAGS[args.method]]
     kind = BetaKind(args.beta)
-    records = [r for m in methods if (r := _record(m, kind, args.p, args)) is not None]
+    records = [r for m in methods for r in _records(m, kind, [args.p], args)]
     if args.format == "csv":
         body = "\n".join([TABLE_HEADER] + [_table_csv_line(r) for r in records]) + "\n"
-    elif args.format == "text":
-        body = "\n".join(r.describe(kind) for r in records) + "\n"
     else:
-        parser.error("survivor supports --format text or csv")
+        body = "\n".join(r.describe(kind) for r in records) + "\n"
     return _emit(body, args.out)
 
 
-def cmd_table(args, parser) -> int:
-    if args.pmax is None:
-        parser.error("table requires --pmax")
-    if args.method == "all":
-        parser.error("table requires a single --method (brute, theorem or closed)")
+def cmd_table(args) -> int:
     kind = BetaKind(args.beta)
-    method = _METHOD_FLAGS[args.method or "theorem"]
-    ps = range(1, args.pmax + 1)
-    if method == BRUTE:
-        records = list(
-            _brute_records(
-                make_context(kind), ps, args.workers, args.allow_large_p, args.digits
-            )
-        )
-    else:
-        records = [r for p in ps if (r := _record(method, kind, p, args)) is not None]
+    records = _records(_METHOD_FLAGS[args.method], kind, range(1, args.pmax + 1), args)
     if args.format == "svg":
         points = [(r.p, r.value_float) for r in records]
         body = _svg(points, f"S(p) for beta={kind.value}, p=1..{args.pmax}")
@@ -141,9 +124,7 @@ def cmd_table(args, parser) -> int:
     return _emit(body, args.out)
 
 
-def cmd_verify(args, parser) -> int:
-    if args.pmax is None:
-        parser.error("verify requires --pmax")
+def cmd_verify(args) -> int:
     reports = [
         cross_check(
             kind,
@@ -155,12 +136,10 @@ def cmd_verify(args, parser) -> int:
         for kind in (BetaKind.BASE2, BetaKind.GOLDEN, BetaKind.TRIBONACCI)
     ]
     lines = [CSV_HEADER]
-    for rep in reports:
-        lines.extend(rep.csv_rows())
     mismatches: list[str] = []
     for rep in reports:
-        mismatches.extend(rep.theorem_mismatches)
-        mismatches.extend(rep.formula_mismatches)
+        lines.extend(rep.csv_rows())
+        mismatches.extend(rep.theorem_mismatches + rep.formula_mismatches)
     if mismatches:
         lines.append("mismatches:")
         lines.extend(mismatches)
@@ -173,28 +152,28 @@ def cmd_verify(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with exactly the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="betahole",
         description="Critical hole sizes for periodic survivors of the beta-transformation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("survivor", "critical value for a single period"),
-        ("table", "table of critical values for p = 1..pmax"),
-        ("verify", "cross-check every computation path for all kinds"),
+    # flags are spelt out in full: as a prefix, --p would stand for --pmax
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
+    survivor = sub.add_parser("survivor", help="critical value for a single period")
+    survivor.add_argument("--p", type=int, required=True, help="single period")
+    table = sub.add_parser("table", help="table of critical values for p = 1..pmax")
+    verify = sub.add_parser("verify", help="cross-check every computation path for all kinds")
+    for sp in (table, verify):
+        sp.add_argument("--pmax", type=int, required=True, help="largest period")
+    for sp, methods, default, formats in (
+        (survivor, ["brute", "theorem", "closed", "all"], "all", ["text", "csv"]),
+        (table, ["brute", "theorem", "closed"], "theorem", ["text", "csv", "svg"]),
     ):
-        sp = sub.add_parser(name, help=helptext)
-        if name != "verify":
-            sp.add_argument("--beta", choices=[k.value for k in BetaKind], required=True)
-        sp.add_argument("--p", type=int, default=None, help="single period")
-        sp.add_argument("--pmax", type=int, default=None, help="largest period")
-        sp.add_argument(
-            "--method",
-            choices=["brute", "theorem", "closed", "all"],
-            default=None,
-            help="computation path (survivor defaults to all, table to theorem)",
-        )
-        sp.add_argument("--format", choices=["text", "csv", "svg"], default="text")
+        sp.add_argument("--beta", choices=[k.value for k in BetaKind], required=True)
+        sp.add_argument("--method", choices=methods, default=default, help="computation path")
+        sp.add_argument("--format", choices=formats, default="text")
+    for sp in (survivor, table, verify):
         sp.add_argument(
             "--digits", type=int, default=10, help=f"significant digits (1 to {MAX_DIGITS})"
         )
@@ -215,12 +194,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--digits must be between 1 and {MAX_DIGITS}")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    for bound in (args.p, args.pmax):
-        if bound is not None and bound < 1:
-            parser.error("periods must be >= 1")
+    top = args.p if args.command == "survivor" else args.pmax
+    if top < 1:
+        parser.error("periods must be >= 1")
+    if top > MAX_P:
+        parser.error(f"p={top} exceeds the period cap of {MAX_P}")
     handlers = {"survivor": cmd_survivor, "table": cmd_table, "verify": cmd_verify}
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit(2)

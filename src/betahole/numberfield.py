@@ -37,22 +37,22 @@ class BetaKind(str, Enum):
     TRIBONACCI = "tribonacci"
 
 
-# kind -> (ascending monic minpoly, initial isolating interval, delta period)
+# kind -> (ascending monic minpoly, delta period).  Each minpoly is increasing
+# on [1, 2] with its only root there, so beta_floor_scaled bisects from [1, 2].
 _KIND_DATA = {
-    BetaKind.BASE2: ((-2, 1), (Fraction(2), Fraction(2)), "1"),
-    BetaKind.GOLDEN: ((-1, -1, 1), (Fraction(8, 5), Fraction(17, 10)), "10"),
-    BetaKind.TRIBONACCI: ((-1, -1, -1, 1), (Fraction(9, 5), Fraction(19, 10)), "110"),
+    BetaKind.BASE2: ((-2, 1), "1"),
+    BetaKind.GOLDEN: ((-1, -1, 1), "10"),
+    BetaKind.TRIBONACCI: ((-1, -1, -1, 1), "110"),
 }
 
 
 class BetaContext:
-    """Which beta: minimal polynomial, isolating root interval, delta(beta)."""
+    """Which beta: minimal polynomial and delta(beta)."""
 
     __slots__ = (
         "kind",
         "minpoly",
         "degree",
-        "root_interval",
         "delta",
         "_reduction",
         "_floor_cache",
@@ -62,11 +62,10 @@ class BetaContext:
     )
 
     def __init__(self, kind: BetaKind) -> None:
-        minpoly, interval, delta_period = _KIND_DATA[kind]
+        minpoly, delta_period = _KIND_DATA[kind]
         self.kind = kind
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
-        self.root_interval = interval
         self.delta = PeriodicSeq.pure(delta_period)
         # x^degree = sum(_reduction[i] * x^i)
         self._reduction = tuple(-c for c in minpoly[:-1])
@@ -133,15 +132,13 @@ class BetaContext:
     def beta_floor_scaled(self, s: int) -> int:
         """Integer L with L/2^s <= beta <= (L+1)/2^s, by bisection on minpoly.
 
-        The minimal polynomial is strictly increasing on (1, 2], so its sign
-        at t/2^s locates t relative to the root.
+        The minimal polynomial is strictly increasing on [1, 2], so its sign
+        at t/2^s locates t relative to the root; bisection starts from [1, 2].
         """
         cached = self._floor_cache.get(s)
         if cached is not None:
             return cached
-        lo, hi = self.root_interval
-        lo_t = (lo.numerator << s) // lo.denominator
-        hi_t = -((-hi.numerator << s) // hi.denominator)  # ceil
+        lo_t, hi_t = 1 << s, 2 << s
         d = self.degree
 
         def value(t: int) -> int:

@@ -29,6 +29,9 @@ BRUTE, THEOREM, CLOSED = "BruteForce", "TheoremWord", "ClosedForm"
 
 DEFAULT_P_CAP = 20
 HARD_P_CAP = 26
+# up to this period every exact value fits the 4300 digits CPython converts from
+# int to str (base 2 needs 3011 at p = 10,000), so serialize() cannot fail late
+MAX_P = 10_000
 
 
 @dataclass(frozen=True)

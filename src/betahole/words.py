@@ -178,15 +178,11 @@ def _exceed_automaton(below: str, n: int) -> tuple[list[int], list[bool]]:
     return zero_next, one_blocked
 
 
-def primitive_representatives(
-    p: int, lo: int | None = None, hi: int | None = None, below: str | None = None
-) -> Iterator[str]:
+def primitive_representatives(p: int, below: str | None = None) -> Iterator[str]:
     """Lexicographically least rotations of the primitive binary words of length p.
 
     Yields exactly one representative per cyclic class (the Lyndon words of
-    length p), in increasing value of the word read as a binary number.  The
-    optional [lo, hi) value range restricts output to a disjoint sub-range, so
-    the enumeration can be partitioned across workers.
+    length p), in increasing value of the word read as a binary number.
 
     With `below`, a word is skipped together with every extension of its
     prefix as soon as the prefix has a factor greater than the prefix of
@@ -196,11 +192,6 @@ def primitive_representatives(
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if lo is None:
-        lo = 0
-    if hi is None:
-        hi = 1 << p
-    bounded = lo > 0 or hi < 1 << p
     # an all-ones stream is exceeded by no word
     zero_next, one_blocked = _exceed_automaton(below or "1", p)
     # Duval / FKM: generates the binary Lyndon words of length <= p in
@@ -211,12 +202,7 @@ def primitive_representatives(
     while True:
         n = len(w)
         if n == p:
-            word = w.decode()
-            v = int(word, 2) if bounded else lo  # unbounded: every word is in range
-            if v >= hi:
-                return  # values at fixed length only grow from here
-            if v >= lo:
-                yield word
+            yield w.decode()
         else:
             # periodic extension to length p, cut before the first pruned symbol
             for i in range(n, p):

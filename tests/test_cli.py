@@ -1,7 +1,12 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import betahole.cli as cli_mod
 from betahole.cli import MAX_DIGITS, main
+from betahole.survivor import MAX_P
 
 
 def run(capsys, *argv):
@@ -60,7 +65,7 @@ class TestSurvivorCommand:
         def no_computation(*args, **kwargs):
             raise AssertionError("computed despite an out-of-range --digits")
 
-        monkeypatch.setattr(cli_mod, "_record", no_computation)
+        monkeypatch.setattr(cli_mod, "_records", no_computation)
         with pytest.raises(SystemExit) as exc:
             main(["survivor", "--beta", "golden", "--p", "3", "--digits", str(MAX_DIGITS + 1)])
         assert exc.value.code == 2
@@ -184,3 +189,86 @@ def test_period_range_is_checked_before_any_enumeration(capsys, monkeypatch, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p=21 exceeds the default cap of 20" in captured.err
+
+
+def _no_computation(*args, **kwargs):
+    raise AssertionError("computed despite a usage error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survivor", "--beta", "2", "--p", "14400", "--method", "theorem"],
+        ["survivor", "--beta", "golden", "--p", str(MAX_P + 1), "--method", "closed"],
+        ["table", "--beta", "2", "--pmax", str(MAX_P + 1)],
+        ["verify", "--pmax", str(MAX_P + 1)],
+    ],
+)
+def test_period_above_max_p_is_rejected_before_any_work(capsys, monkeypatch, argv):
+    for name in ("theorem_record", "closed_record", "cross_check", "_brute_records"):
+        monkeypatch.setattr(cli_mod, name, _no_computation)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds the period cap of {MAX_P}" in captured.err
+
+
+@pytest.mark.parametrize("method", ["theorem", "closed"])
+@pytest.mark.parametrize("kind", ["2", "golden", "tribonacci"])
+def test_max_p_renders_for_every_kind(capsys, kind, method):
+    code, out = run(
+        capsys, "survivor", "--beta", kind, "--p", str(MAX_P), "--method", method,
+        "--format", "csv",
+    )
+    assert code == 0
+    _, row = out.strip().splitlines()
+    assert row.startswith(f"{MAX_P},")
+    assert row.endswith({"theorem": ",TheoremWord", "closed": ",ClosedForm"}[method])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--pmax", "6", "--p", "3"],
+        ["verify", "--pmax", "6", "--method", "brute"],
+        ["verify", "--pmax", "6", "--format", "csv"],
+        ["table", "--beta", "2", "--pmax", "6", "--p", "3"],
+        ["table", "--beta", "2", "--pmax", "6", "--method", "all"],
+        ["survivor", "--beta", "2", "--p", "3", "--pmax", "6"],
+        ["survivor", "--beta", "2", "--p", "3", "--format", "svg"],
+    ],
+)
+def test_flags_a_subcommand_does_not_take_are_usage_errors(capsys, monkeypatch, argv):
+    for name in ("_records", "cross_check"):
+        monkeypatch.setattr(cli_mod, name, _no_computation)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _pinned_sweep():
+    for kind in ("2", "golden", "tribonacci"):
+        for p in (1, 2, 3, 4, 6, 11):
+            for method in ("brute", "theorem", "closed", "all"):
+                for fmt in ("text", "csv"):
+                    yield ["survivor", "--beta", kind, "--p", str(p), "--method", method,
+                           "--format", fmt]
+        for method in ("brute", "theorem", "closed"):
+            for fmt in ("text", "csv", "svg"):
+                yield ["table", "--beta", kind, "--pmax", "12", "--method", method,
+                       "--format", fmt]
+
+
+def test_stdout_matches_the_pinned_digests(capsys):
+    # SHA-256 of the stdout of each command of _pinned_sweep, recorded before
+    # the CLI's parsers were split per subcommand
+    pinned = json.loads((Path(__file__).parent / "pinned_stdout.json").read_text())
+    digests = {}
+    for argv in _pinned_sweep():
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        digests[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == pinned

@@ -45,11 +45,15 @@ class TestContexts:
         assert make_context("2").beta().serialize() == "2"
 
     def test_interval_brackets_root(self):
-        for kind in ("golden", "tribonacci"):
+        for kind in ALL_KINDS:
             ctx = make_context(kind)
-            lo, hi = ctx.root_interval
-            at = lambda x: sum(c * x**i for i, c in enumerate(ctx.minpoly))
-            assert at(lo) < 0 < at(hi)
+            at = lambda t, s: sum(c * Fraction(t, 1 << s) ** i for i, c in enumerate(ctx.minpoly))
+            for s in (64, 128, 256):
+                L = ctx.beta_floor_scaled(s)
+                if kind is BetaKind.BASE2:
+                    assert at(L, s) < 0 == at(L + 1, s) and L == (2 << s) - 1
+                else:  # an irrational root lies strictly inside
+                    assert at(L, s) < 0 < at(L + 1, s)
 
     def test_contexts_are_cached(self):
         assert make_context("golden") is make_context(BetaKind.GOLDEN)

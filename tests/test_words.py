@@ -184,17 +184,6 @@ class TestEnumeration:
             vals = [int(w, 2) for w in primitive_representatives(p)]
             assert vals == sorted(vals)
 
-    def test_range_partition_is_a_disjoint_cover(self):
-        p = 9
-        full = list(primitive_representatives(p))
-        for k in (2, 3, 7):
-            bounds = [(1 << p) * i // k for i in range(k + 1)]
-            parts = [
-                list(primitive_representatives(p, bounds[i], bounds[i + 1]))
-                for i in range(k)
-            ]
-            assert [w for part in parts for w in part] == full
-
     def test_every_representative_is_primitive_and_minimal(self):
         for p in (7, 10):
             for w in primitive_representatives(p):
@@ -244,17 +233,13 @@ class TestPrunedEnumeration:
         ctx = make_context(kind)
         below = ctx.delta.period
         for p in range(1, 15):
-            span = 1 << p
-            for k in (1, 2, 3, 7):
-                bounds = [span * i // k for i in range(k + 1)]
-                for lo, hi in zip(bounds, bounds[1:]):
-                    plain = list(primitive_representatives(p, lo, hi))
-                    pruned = list(primitive_representatives(p, lo, hi, below=below))
-                    assert [w for w in pruned if is_admissible(w, ctx).admissible] == [
-                        w for w in plain if is_admissible(w, ctx).admissible
-                    ]
-                    if kind is BetaKind.BASE2:
-                        assert pruned == plain
+            plain = list(primitive_representatives(p))
+            pruned = list(primitive_representatives(p, below=below))
+            assert [w for w in pruned if is_admissible(w, ctx).admissible] == [
+                w for w in plain if is_admissible(w, ctx).admissible
+            ]
+            if kind is BetaKind.BASE2:
+                assert pruned == plain
 
     def test_pruned_counts_at_p20(self):
         yielded = {
