@@ -260,11 +260,17 @@ def _pinned_sweep():
             for fmt in ("text", "csv", "svg"):
                 yield ["table", "--beta", kind, "--pmax", "12", "--method", method,
                        "--format", fmt]
+        # long words and many digits: serialize() and decimal() on large numerators
+        for method in ("theorem", "closed"):
+            yield ["table", "--beta", kind, "--pmax", "300", "--digits", "30", "--method",
+                   method, "--format", "csv"]
+        yield ["survivor", "--beta", kind, "--p", "50", "--method", "theorem", "--digits", "1000"]
 
 
 def test_stdout_matches_the_pinned_digests(capsys):
     # SHA-256 of the stdout of each command of _pinned_sweep, recorded before
-    # the CLI's parsers were split per subcommand
+    # the CLI's parsers were split per subcommand; the --digits 30 and 1000
+    # entries were recorded before decimal() and serialize() moved onto integers
     pinned = json.loads((Path(__file__).parent / "pinned_stdout.json").read_text())
     digests = {}
     for argv in _pinned_sweep():
