@@ -40,9 +40,14 @@ def _records(method: str, kind: BetaKind, ps, args) -> list[SurvivorRecord]:
     return [r for p in ps if (r := closed_record(kind, p, digits=args.digits)) is not None]
 
 
-def _table_csv_line(rec: SurvivorRecord) -> str:
-    word = rec.word or ""
-    return f"{rec.p},{word},{rec.value.serialize()},{rec.value_float},{rec.method}"
+def _render(records: list[SurvivorRecord], kind: BetaKind, fmt: str) -> str:
+    """The text or csv body of a list of records."""
+    if fmt == "text":
+        return "\n".join(r.describe(kind) for r in records) + "\n"
+    rows = (
+        f"{r.p},{r.word or ''},{r.value.serialize()},{r.value_float},{r.method}" for r in records
+    )
+    return "\n".join([TABLE_HEADER, *rows]) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -104,24 +109,18 @@ def cmd_survivor(args) -> int:
     methods = _METHOD_FLAGS.values() if args.method == "all" else [_METHOD_FLAGS[args.method]]
     kind = BetaKind(args.beta)
     records = [r for m in methods for r in _records(m, kind, [args.p], args)]
-    if args.format == "csv":
-        body = "\n".join([TABLE_HEADER] + [_table_csv_line(r) for r in records]) + "\n"
-    else:
-        body = "\n".join(r.describe(kind) for r in records) + "\n"
-    return _emit(body, args.out)
+    return _emit(_render(records, kind, args.format), args.out)
 
 
 def cmd_table(args) -> int:
     kind = BetaKind(args.beta)
     records = _records(_METHOD_FLAGS[args.method], kind, range(1, args.pmax + 1), args)
-    if args.format == "svg":
-        points = [(r.p, r.value_float) for r in records]
-        body = _svg(points, f"S(p) for beta={kind.value}, p=1..{args.pmax}")
-    elif args.format == "csv":
-        body = "\n".join([TABLE_HEADER] + [_table_csv_line(r) for r in records]) + "\n"
-    else:
-        body = "\n".join(r.describe(kind) for r in records) + "\n"
-    return _emit(body, args.out)
+    if args.format != "svg":
+        return _emit(_render(records, kind, args.format), args.out)
+    span = f"beta={kind.value}, p=1..{args.pmax}"
+    if not records:
+        raise ValueError(f"nothing to plot: the {args.method} method has no values for {span}")
+    return _emit(_svg([(r.p, r.value_float) for r in records], f"S(p) for {span}"), args.out)
 
 
 def cmd_verify(args) -> int:

@@ -5,10 +5,11 @@ positive integer denominator, reduced modulo the (irreducible, monic)
 minimal polynomial and divided by the gcd of all of them, so equality is
 literal equality of the integers.  One integer kernel does all the work:
 multiplication by beta, powers of beta, and products and inverses through the
-integer matrix of multiplication by an element.  Signs are decided without
+integer matrix of multiplication by an element.  Signs and decimals use no
 floating point: the numerators are bracketed with a dyadic isolating interval
-for the root, refined by bisection until the sign is definite.  Base 2 is
-carried as a degree-1 field so every kind runs through the same code path.
+for the root, refined by bisection until the sign is definite or both ends
+round, by integer division, to the same decimal.  Base 2 is carried as a
+degree-1 field so every kind runs through the same code path.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class BetaContext:
         "degree",
         "delta",
         "_reduction",
-        "_floor_cache",
         "_bound_cache",
         "_int_powers",
         "_int_pow_columns",
@@ -69,7 +69,6 @@ class BetaContext:
         self.delta = PeriodicSeq.pure(delta_period)
         # x^degree = sum(_reduction[i] * x^i)
         self._reduction = tuple(-c for c in minpoly[:-1])
-        self._floor_cache: dict[int, int] = {}
         self._bound_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._int_powers: list[tuple[int, ...]] = [(1,) + (0,) * (self.degree - 1)]
         # _int_pow_columns[j][k] == _int_powers[k][j]
@@ -135,9 +134,6 @@ class BetaContext:
         The minimal polynomial is strictly increasing on [1, 2], so its sign
         at t/2^s locates t relative to the root; bisection starts from [1, 2].
         """
-        cached = self._floor_cache.get(s)
-        if cached is not None:
-            return cached
         lo_t, hi_t = 1 << s, 2 << s
         d = self.degree
 
@@ -152,7 +148,6 @@ class BetaContext:
                 lo_t = mid
             else:
                 hi_t = mid
-        self._floor_cache[s] = lo_t
         return lo_t
 
     def bracket(self, ints: tuple[int, ...], s: int) -> tuple[int, int]:
@@ -384,26 +379,23 @@ class FieldElement:
     def decimal(self, digits: int) -> str:
         """Decimal string correct to `digits` significant digits, 1 <= digits <= MAX_DIGITS.
 
-        Rational values round exactly; irrational ones refine the root
-        interval until both interval ends round to the same string.
+        Rounds half away from zero, exactly, at any magnitude: refines the root
+        interval until both ends round to the same string (at once for a rational).
         """
         if not 1 <= digits <= MAX_DIGITS:
             raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
-        if not any(self.nums[1:]):
-            return _decimal_of_fraction(Fraction(self.nums[0], self.den), digits)
         s = 64
         while s <= _MAX_SCALE_BITS:
             lo, hi = self.ctx.bracket(self.nums, s)
             den = self.den << s * (self.ctx.degree - 1)
-            slo = _decimal_of_fraction(Fraction(lo, den), digits)
-            shi = _decimal_of_fraction(Fraction(hi, den), digits)
-            if slo == shi:
-                return slo
+            text = _decimal_of_ratio(lo, den, digits)
+            if lo == hi or _decimal_of_ratio(hi, den, digits) == text:
+                return text
             s *= 2
         raise RuntimeError("decimal refinement exceeded the scale cap")
 
     def __float__(self) -> float:
-        return float(Fraction(self.decimal(17)))
+        return float(self.decimal(17))
 
     def __repr__(self) -> str:
         return self.serialize()
@@ -411,38 +403,44 @@ class FieldElement:
     def serialize(self) -> str:
         """Render as `c0 + c1*b + c2*b^2` with exact rationals, zero terms dropped."""
         parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, n in enumerate(self.nums):
+            if not n:
                 continue
-            mag = abs(c)
-            coeff = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            g = math.gcd(n, self.den)
+            num, den = abs(n) // g, self.den // g
+            coeff = str(num) if den == 1 else f"{num}/{den}"
             if k == 0:
                 term = coeff
             else:
                 var = "b" if k == 1 else f"b^{k}"
-                term = var if mag == 1 else f"{coeff}*{var}"
+                term = var if num == den == 1 else f"{coeff}*{var}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if n > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+                parts.append(f"+ {term}" if n > 0 else f"- {term}")
         return " ".join(parts) if parts else "0"
 
 
-def _decimal_of_fraction(x: Fraction, digits: int) -> str:
-    """Round a rational to `digits` significant digits (half away from zero)."""
-    if x == 0:
+def _decimal_of_ratio(n: int, d: int, digits: int) -> str:
+    """Round n/d, for d > 0, to `digits` significant digits (half away from zero)."""
+    if n == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    # estimate the decimal exponent from bit lengths: converting a numerator or
-    # denominator of thousands of digits to str would hit CPython's 4300-digit cap
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 3 // 10
-    while x >= 10 ** (e + 1):
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+
+    def scaled(k: int) -> tuple[int, int]:
+        """n/d * 10**k as an integer ratio; 10**|k| multiplies whichever side needs it."""
+        return (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
+
+    # estimate the exponent e, 10**e <= n/d < 10**(e+1), from bit lengths: converting
+    # n or d of thousands of digits to str would hit CPython's 4300-digit cap
+    e = (n.bit_length() - d.bit_length()) * 3 // 10
+    while operator.ge(*scaled(-e - 1)):  # n/d >= 10**(e+1)
         e += 1
-    while x < 10**e:
+    while operator.lt(*scaled(-e)):  # n/d < 10**e
         e -= 1
-    scaled = x * Fraction(10) ** (digits - 1 - e)
-    q = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    num, den = scaled(digits - 1 - e)
+    q = (2 * num + den) // (2 * den)
     if q >= 10**digits:
         q //= 10
         e += 1

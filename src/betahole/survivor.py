@@ -115,7 +115,8 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
             raise ValueError(f"p={p} exceeds the enumeration cap of {HARD_P_CAP}")
         if p > DEFAULT_P_CAP and not allow_large:
             raise ValueError(
-                f"p={p} exceeds the default cap of {DEFAULT_P_CAP}; pass allow_large"
+                f"p={p} exceeds the default cap of {DEFAULT_P_CAP};"
+                " pass allow_large=True (--allow-large-p on the command line)"
             )
     if workers < 1:
         raise ValueError("workers must be >= 1")

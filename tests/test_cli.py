@@ -114,6 +114,18 @@ class TestTableCommand:
         assert code == 0
         assert out.count("<circle") == 45
 
+    def test_empty_svg_table_is_usage_error(self, capsys):
+        # tribonacci has no closed form at p = 1, so there is no point to plot
+        argv = ["table", "--beta", "tribonacci", "--pmax", "1", "--method", "closed"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "svg"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "closed method has no values for beta=tribonacci, p=1..1" in captured.err
+        assert run(capsys, *argv, "--format", "csv") == (0, "p,word,exact,float,method\n")
+        assert run(capsys, *argv, "--format", "text") == (0, "\n")
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code, out = run(
@@ -189,6 +201,7 @@ def test_period_range_is_checked_before_any_enumeration(capsys, monkeypatch, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p=21 exceeds the default cap of 20" in captured.err
+    assert "--allow-large-p" in captured.err
 
 
 def _no_computation(*args, **kwargs):

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -258,6 +260,98 @@ class TestDecimal:
         e = FieldElement(ctx, (Fraction(-1), Fraction(0), Fraction(2, 3)))
         assert e.serialize() == "-1 + 2/3*b^2"
         assert ctx.zero().serialize() == "0"
+
+
+def _reference_context(digits: int) -> decimal.Context:
+    # ROUND_HALF_UP rounds ties away from zero; the exponent range is unbounded in practice
+    return decimal.Context(
+        prec=digits, rounding=decimal.ROUND_HALF_UP, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX
+    )
+
+
+def _reference_format(rounded: Decimal, digits: int) -> str:
+    """Positional notation with exactly `digits` significant digits."""
+    if not rounded:
+        return "0"
+    sign, digs, exp = rounded.as_tuple()
+    pad = digits - len(digs)  # an exact quotient drops the trailing zeros the output keeps
+    return format(Decimal((sign, digs + (0,) * pad, exp - pad)), "f")
+
+
+def reference_decimal(n: int, d: int, digits: int) -> str:
+    """n/d to `digits` significant digits, by stdlib decimal's correctly rounded division."""
+    return _reference_format(_reference_context(digits).divide(Decimal(n), Decimal(d)), digits)
+
+
+def reference_golden_power(k: int, digits: int) -> str:
+    """golden**k with 40 guard digits, then rounded to `digits`."""
+    work = _reference_context(digits + 40)
+    beta = work.divide(1 + work.sqrt(Decimal(5)), 2)
+    return _reference_format(_reference_context(digits).plus(work.power(beta, k)), digits)
+
+
+class TestDecimalAgainstReference:
+    @pytest.mark.parametrize(
+        "n, d, digits",
+        [
+            (1, 2**1100, 5),  # 7.3622e-332
+            (1, 2**1100 - 1, 5),
+            (99999, 10**325, 5),  # 9.9999e-321
+            (1, 10**400, 3),
+            (-7, 3**1500, 12),
+            (9995, 10000, 3),  # rounds up to the next power of ten
+            (-9995, 10000, 3),
+            (99995, 10**330, 4),
+            (10**400 + 7, 3, 20),  # above 1e308
+            (-(3**700), 7, 10),
+            *((10**k + j, 1, 5) for k in (0, 1, 4, 5, 6, 308, 309) for j in (-1, 0, 1)),
+            *((1, 10**k + j, 5) for k in (1, 5, 307, 308, 330) for j in (-1, 0, 1)),
+            *((10**k + j, 10**(2 * k), 3) for k in (2, 200) for j in (-1, 0, 1)),
+        ],
+    )
+    def test_ratio_examples(self, n, d, digits):
+        expected = reference_decimal(n, d, digits)
+        assert numberfield._decimal_of_ratio(n, d, digits) == expected
+        for kind in ALL_KINDS:  # rational elements go through the same rendering
+            x = make_context(kind).from_rational(Fraction(n, d))
+            assert x.decimal(digits) == expected
+
+    @given(
+        n=st.integers(min_value=-(2**3000), max_value=2**3000).filter(bool),
+        d=st.integers(min_value=1, max_value=2**3000),
+        digits=st.integers(min_value=1, max_value=300),
+    )
+    def test_ratio_matches_reference(self, n, d, digits):
+        assert numberfield._decimal_of_ratio(n, d, digits) == reference_decimal(n, d, digits)
+
+    @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
+    @given(
+        n=st.integers(min_value=-(10**40), max_value=10**40),
+        d=st.integers(min_value=1, max_value=10**40),
+        digits=st.integers(min_value=1, max_value=60),
+    )
+    def test_rational_elements_of_irrational_fields(self, kind, n, d, digits):
+        x = make_context(kind).from_rational(Fraction(n, d))
+        assert x.decimal(digits) == reference_decimal(n, d, digits)
+
+    def test_tiny_values(self):
+        two = make_context("2")
+        assert two.beta_pow(-1100).decimal(5) == reference_decimal(1, 2**1100, 5)
+        assert two.beta_pow(-1100).decimal(5).endswith("73622")
+        x = eval_periodic("0" * 1099 + "1", two)
+        assert x.decimal(5) == reference_decimal(1, 2**1100 - 1, 5)
+        golden = make_context("golden")
+        for k in (-2000, -1500, 1500):
+            assert golden.beta_pow(k).decimal(8) == reference_golden_power(k, 8)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float_is_the_17_digit_decimal(self, kind):
+        ctx = make_context(kind)
+        rng = random.Random(f"float-{kind.value}")
+        elements = [ctx.beta(), ctx.beta_pow(-1100), ctx.beta_pow(300), eval_periodic("001", ctx)]
+        elements += [random_element(ctx, rng) for _ in range(20)]
+        for x in elements:
+            assert float(x) == float(Fraction(x.decimal(17)))
 
 
 class TestEval:
