@@ -141,41 +141,34 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
 def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]:
     """Offset and numerator of the rotation of w with the smallest periodic value.
 
-    Two independent routes must agree: the exact minimum over all rotations'
-    values, and the lexicographically least rotation.  The minimum must also
-    be attained once only.  A disagreement would mean the order/value
-    correspondence is broken, so it raises.  w must be admissible.
+    One certificate for two routes: the lexicographically least rotation must
+    have a strictly smaller exact value than every other rotation, or the
+    order/value correspondence is broken and this raises.  w must be
+    admissible and primitive (a shorter period ties rotations).
     """
-    nums = rotation_numerators(w, ctx)
-    best, tied = 0, False
-    for k in range(1, len(nums)):
-        c = ctx.int_compare(nums[k], nums[best])
-        if c < 0:
-            best, tied = k, False
-        elif c == 0:
-            tied = True  # an earlier index never ties the final minimum
-    if tied:
-        raise RuntimeError(f"orbit minimum of {w} is attained by two rotations")
     rots = rotations(w)
     lex = rots.index(min(rots))
-    if best != lex:
-        raise RuntimeError(
-            f"orbit minimum of {w} at offset {best} but lex-min rotation at {lex}"
-        )
-    return best, nums[best]
+    nums = rotation_numerators(w, ctx)
+    least = nums[lex]
+    for k, n in enumerate(nums):
+        if k != lex and ctx.int_compare(n, least) <= 0:
+            raise RuntimeError(
+                f"rotation {k} of {w} is not above its lex-min rotation {lex} in value"
+            )
+    return lex, least
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     """The rotation of w with the smallest periodic value, and that exact value.
 
-    The value minimum is checked against the lexicographically least rotation
-    (see orbit_min_numerator); a disagreement raises RuntimeError.
+    That is the lexicographically least rotation, whose value must be strictly
+    below every other rotation's (see orbit_min_numerator), or RuntimeError.
     """
     report = is_admissible(w, ctx)
     if not report.admissible:
         raise ValueError(f"inadmissible word: {report.render()}")
-    best, num = orbit_min_numerator(w, ctx)
-    return w[best:] + w[:best], ctx.periodic_value(num, len(w))
+    lex, num = orbit_min_numerator(w, ctx)
+    return w[lex:] + w[:lex], ctx.periodic_value(num, len(w))
 
 
 def survives(w: str, t, ctx: BetaContext) -> bool:

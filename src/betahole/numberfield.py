@@ -356,6 +356,9 @@ class FieldElement:
         return self.ctx is other.ctx and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
+        # a rational element equals its int/Fraction, so it must hash like one
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.ctx.kind, self.nums, self.den))
 
     def _cmp(self, other) -> int:

@@ -347,6 +347,8 @@ def cross_check(
     evidence ("theorem mismatch"); a closed-form disagreement while brute
     force matches the word is a "paper-formula mismatch".  Both are data.
     """
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
     kind = BetaKind(kind)
     ctx = make_context(kind)
     rows: list[CrossCheckRow] = []

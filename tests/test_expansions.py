@@ -9,6 +9,7 @@ from betahole.expansions import (
     greedy_digits,
     is_admissible,
     orbit_min,
+    orbit_min_numerator,
     quasi_greedy_digits,
     rotation_numerators,
     survives,
@@ -16,7 +17,14 @@ from betahole.expansions import (
 )
 from betahole.numberfield import BetaKind, eval_eventually_periodic, eval_periodic, make_context
 from betahole.survivor import brute_force_S
-from betahole.words import LT, PeriodicSeq, lex_compare, lex_min_rotation, rotations
+from betahole.words import (
+    LT,
+    PeriodicSeq,
+    lex_compare,
+    lex_min_rotation,
+    rotations,
+    smallest_period,
+)
 
 ALL_KINDS = list(BetaKind)
 
@@ -210,23 +218,45 @@ class TestOrbitMin:
         with pytest.raises(ValueError):
             orbit_min("01", make_context("golden"))
 
-    @pytest.mark.parametrize("fault", ["tie", "elsewhere"])
-    def test_dual_route_faults_raise(self, monkeypatch, fault):
-        # unreachable on correct code (Parry); stubbed numerators stand in for a fault
+    @pytest.mark.parametrize("fault", ["tie", "earlier-tie", "elsewhere"])
+    @pytest.mark.parametrize(
+        "kind, w", [("golden", "001"), ("golden", "100"), ("tribonacci", "1100")]
+    )
+    def test_dual_route_faults_raise(self, monkeypatch, fault, kind, w):
+        # unreachable on correct code (Parry); stubbed numerators stand in for a fault.
+        # The words put the lex-min rotation at offsets 0, 1 and 2.
         real = rotation_numerators
 
-        def faulty(w, ctx):
-            nums = real(w, ctx)
+        def faulty(word, ctx):
+            nums = real(word, ctx)
+            lex = rotations(word).index(lex_min_rotation(word))
             if fault == "tie":
-                return nums[:-1] + nums[:1]  # a second rotation attains the minimum
-            return nums[1:] + nums[:1]  # the minimum moves off the lex-min rotation
+                nums[lex + 1] = nums[lex]  # a later rotation attains the minimum
+            elif fault == "earlier-tie":
+                nums[lex - 1] = nums[lex]  # the cyclically preceding rotation ties it
+            else:
+                nums = nums[1:] + nums[:1]  # the minimum moves one place
+            return nums
 
         monkeypatch.setattr(expansions, "rotation_numerators", faulty)
-        ctx = make_context("golden")
+        ctx = make_context(kind)
         with pytest.raises(RuntimeError):
-            orbit_min("001", ctx)
+            orbit_min(w, ctx)
         with pytest.raises(RuntimeError):
-            brute_force_S(ctx, 3)
+            brute_force_S(ctx, len(w))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_offset_and_numerator_are_the_lex_min_rotations(self, kind):
+        # every primitive admissible word, not only Lyndon words, so the offset
+        # is not always 0; a word with a shorter period has tied rotations
+        ctx = make_context(kind)
+        for w in all_words(8):
+            if smallest_period(w) < len(w) or not is_admissible(w, ctx).admissible:
+                continue
+            least = lex_min_rotation(w)
+            assert orbit_min_numerator(w, ctx) == (
+                rotations(w).index(least), ctx.int_horner(least)
+            )
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:

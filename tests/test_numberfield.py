@@ -133,6 +133,16 @@ class TestRepresentation:
                 assert x.den > 0
                 assert math.gcd(x.den, *x.nums) == 1
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("q", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+    def test_rational_element_hashes_like_its_rational(self, kind, q):
+        # x == q holds, so sets and dicts must find either by the other
+        x = make_context(kind).from_rational(q)
+        assert x == q
+        assert hash(x) == hash(q)
+        assert q in {x}
+        assert x in {q}
+
     def test_inverse_with_negative_norm(self):
         # N(beta) = -1 for golden, so Cramer's determinant is negative
         ctx = make_context("golden")

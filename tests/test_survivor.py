@@ -260,6 +260,12 @@ class TestCrossCheck:
         assert csv[0].startswith("golden,1,BruteForce,0,0,0,")
         assert all(line.count(",") == 6 for line in csv)
 
+    @pytest.mark.parametrize("kind, p_max", [("2", 0), ("golden", -3)])
+    def test_empty_period_range_rejected(self, kind, p_max):
+        # zero rows would certify nothing, so ok=True must not come back
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            cross_check(kind, p_max)
+
     def test_theorem_record_empty_branches(self):
         for kind, p in ((BetaKind.GOLDEN, 1), (BetaKind.GOLDEN, 2), (BetaKind.TRIBONACCI, 1)):
             rec = theorem_record(kind, p)
