@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numberfield import BetaContext, FieldElement
-from .words import PeriodicSeq, check_word, rotations
+from .words import PeriodicSeq, check_word, rotations, smallest_period
 
 
 def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
@@ -143,19 +143,24 @@ def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]
 
     One certificate for two routes: the lexicographically least rotation must
     have a strictly smaller exact value than every other rotation, or the
-    order/value correspondence is broken and this raises.  w must be
-    admissible and primitive (a shorter period ties rotations).
+    order/value correspondence is broken and this raises.  Integer bounds
+    (BetaContext.rotation_bounds) settle it first; only when some other
+    rotation's lower bound does not clear the lex-min rotation's upper bound
+    are the exact numerators compared.  w must be admissible and primitive (a
+    shorter period ties rotations).
     """
     rots = rotations(w)
     lex = rots.index(min(rots))
-    nums = rotation_numerators(w, ctx)
-    least = nums[lex]
-    for k, n in enumerate(nums):
-        if k != lex and ctx.int_compare(n, least) <= 0:
-            raise RuntimeError(
-                f"rotation {k} of {w} is not above its lex-min rotation {lex} in value"
-            )
-    return lex, least
+    lows, top = ctx.rotation_bounds(rots, lex)
+    if min(lows[:lex] + lows[lex + 1 :], default=top + 1) <= top:
+        nums = rotation_numerators(w, ctx)
+        least = nums[lex]
+        for k, n in enumerate(nums):
+            if k != lex and ctx.int_compare(n, least) <= 0:
+                raise RuntimeError(
+                    f"rotation {k} of {w} is not above its lex-min rotation {lex} in value"
+                )
+    return lex, ctx.int_horner(rots[lex])
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
@@ -163,10 +168,14 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
 
     That is the lexicographically least rotation, whose value must be strictly
     below every other rotation's (see orbit_min_numerator), or RuntimeError.
+    w must be admissible and primitive, or ValueError.
     """
     report = is_admissible(w, ctx)
     if not report.admissible:
         raise ValueError(f"inadmissible word: {report.render()}")
+    q = smallest_period(w)
+    if q < len(w):
+        raise ValueError(f"{w} is not primitive: its smallest period is {q}")
     lex, num = orbit_min_numerator(w, ctx)
     return w[lex:] + w[:lex], ctx.periodic_value(num, len(w))
 
@@ -175,6 +184,8 @@ def survives(w: str, t, ctx: BetaContext) -> bool:
     """Whether the periodic point of w keeps its whole orbit at or above t."""
     if isinstance(t, (int, Fraction)):
         t = ctx.from_rational(t)
+    elif not isinstance(t, FieldElement):
+        raise TypeError(f"hole bound must be int, Fraction or FieldElement, not {type(t).__name__}")
     _require_unit_interval(t)
     _, value = orbit_min(w, ctx)
     return (value - t).sign() >= 0

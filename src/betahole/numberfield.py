@@ -59,6 +59,7 @@ class BetaContext:
         "_bound_cache",
         "_int_powers",
         "_int_pow_columns",
+        "_pow_brackets",
     )
 
     def __init__(self, kind: BetaKind) -> None:
@@ -73,6 +74,8 @@ class BetaContext:
         self._int_powers: list[tuple[int, ...]] = [(1,) + (0,) * (self.degree - 1)]
         # _int_pow_columns[j][k] == _int_powers[k][j]
         self._int_pow_columns = [[c] for c in self._int_powers[0]]
+        # _pow_brackets[0][m] <= beta**m * 2**(64*(degree-1)) <= _pow_brackets[1][m]
+        self._pow_brackets: tuple[list[int], list[int]] = ([], [])
 
     @property
     def name(self) -> str:
@@ -119,6 +122,24 @@ class BetaContext:
         self.int_beta_pow(len(word) - 1)
         ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
+
+    def rotation_bounds(self, rots: list[str], k: int) -> tuple[list[int], int]:
+        """Integers lows[j] <= V(rots[j]) for every j, and top >= V(rots[k]).
+
+        V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
+        value is a 0/1 sum of powers of beta, so summing each power's bracket
+        bounds it whatever the coefficient signs; base 2 is exact.
+        """
+        if self.degree == 1:
+            lows = [int(r, 2) for r in rots]
+            return lows, lows[k]
+        lo, hi = self._pow_brackets
+        while len(lo) < len(rots[0]):
+            a, b = self.bracket(self.int_beta_pow(len(lo)), 64)
+            lo.append(a)
+            hi.append(b)
+        ones = [r[::-1].encode().translate(_BITS) for r in rots]
+        return [sum(compress(lo, o)) for o in ones], sum(compress(hi, ones[k]))
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
         cache = self._int_powers

@@ -15,18 +15,44 @@ from betahole.expansions import (
     survives,
     t_beta,
 )
-from betahole.numberfield import BetaKind, eval_eventually_periodic, eval_periodic, make_context
-from betahole.survivor import brute_force_S
+from betahole.numberfield import (
+    BetaContext,
+    BetaKind,
+    eval_eventually_periodic,
+    eval_periodic,
+    make_context,
+)
+from betahole.survivor import brute_force_S, theorem_word
 from betahole.words import (
     LT,
     PeriodicSeq,
     lex_compare,
     lex_min_rotation,
+    primitive_representatives,
     rotations,
     smallest_period,
 )
 
 ALL_KINDS = list(BetaKind)
+
+
+def undecided_bounds(monkeypatch):
+    """Make BetaContext.rotation_bounds decide nothing, so every word takes the exact route."""
+    monkeypatch.setattr(BetaContext, "rotation_bounds", lambda self, rots, k: ([0] * len(rots), 0))
+
+
+@pytest.fixture
+def numerator_calls(monkeypatch):
+    """The words rotation_numerators is called with, in call order."""
+    calls = []
+
+    def spy(w, ctx):
+        calls.append(w)
+        return real(w, ctx)
+
+    real = rotation_numerators
+    monkeypatch.setattr(expansions, "rotation_numerators", spy)
+    return calls
 
 
 def all_words(max_len):
@@ -218,6 +244,17 @@ class TestOrbitMin:
         with pytest.raises(ValueError):
             orbit_min("01", make_context("golden"))
 
+    @pytest.mark.parametrize(
+        "kind, w, q", [("golden", "00", 1), ("2", "0101", 2), ("tribonacci", "001001", 3)]
+    )
+    def test_non_primitive_rejected(self, kind, w, q):
+        ctx = make_context(kind)
+        assert is_admissible(w, ctx).admissible
+        with pytest.raises(ValueError, match=f"smallest period is {q}"):
+            orbit_min(w, ctx)
+        with pytest.raises(ValueError, match=f"smallest period is {q}"):
+            survives(w, 0, ctx)
+
     @pytest.mark.parametrize("fault", ["tie", "earlier-tie", "elsewhere"])
     @pytest.mark.parametrize(
         "kind, w", [("golden", "001"), ("golden", "100"), ("tribonacci", "1100")]
@@ -239,6 +276,7 @@ class TestOrbitMin:
             return nums
 
         monkeypatch.setattr(expansions, "rotation_numerators", faulty)
+        undecided_bounds(monkeypatch)
         ctx = make_context(kind)
         with pytest.raises(RuntimeError):
             orbit_min(w, ctx)
@@ -257,6 +295,61 @@ class TestOrbitMin:
             assert orbit_min_numerator(w, ctx) == (
                 rotations(w).index(least), ctx.int_horner(least)
             )
+
+    @pytest.mark.parametrize(
+        "kind, p, exact",
+        [("golden", 200, True), ("golden", 400, True), ("tribonacci", 400, True), ("2", 400, False)],
+    )
+    def test_long_words_fall_back_to_exact_comparison(self, numerator_calls, kind, p, exact):
+        # 64-bit bounds cannot separate rotations sharing a long prefix; base 2 is exact
+        ctx = make_context(kind)
+        w = theorem_word(kind, p)
+        least = lex_min_rotation(w)
+        assert orbit_min_numerator(w, ctx) == (rotations(w).index(least), ctx.int_horner(least))
+        assert numerator_calls == ([w] if exact else [])
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    @pytest.mark.parametrize("kind, w", [("golden", "100"), ("tribonacci", "1100")])
+    def test_one_undecided_rotation_takes_the_exact_route(
+        self, monkeypatch, numerator_calls, kind, w, step
+    ):
+        # the rotation just before or after the lex-min one is not cleared by its bound
+        real = BetaContext.rotation_bounds
+
+        def one_undecided(self, rots, k):
+            lows, top = real(self, rots, k)
+            lows[(k + step) % len(rots)] = top
+            return lows, top
+
+        monkeypatch.setattr(BetaContext, "rotation_bounds", one_undecided)
+        ctx = make_context(kind)
+        least = lex_min_rotation(w)
+        assert orbit_min_numerator(w, ctx) == (rotations(w).index(least), ctx.int_horner(least))
+        assert numerator_calls == [w]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_exact_route_alone_gives_the_same_results(self, monkeypatch, kind):
+        ctx = make_context(kind)
+        words = [
+            w
+            for w in all_words(8)
+            if smallest_period(w) == len(w) and is_admissible(w, ctx).admissible
+        ]
+        filtered = [orbit_min_numerator(w, ctx) for w in words]
+        undecided_bounds(monkeypatch)
+        assert [orbit_min_numerator(w, ctx) for w in words] == filtered
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bounds_decide_every_enumerated_word_up_to_p14(self, numerator_calls, kind):
+        # a filter that silently stops deciding would only slow the brute force down
+        ctx = make_context(kind)
+        n = 0
+        for p in range(1, 15):
+            for w in primitive_representatives(p, below=ctx.delta.period):
+                if is_admissible(w, ctx).admissible:
+                    orbit_min_numerator(w, ctx)
+                    n += 1
+        assert n > 0 and numerator_calls == []
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:
@@ -281,6 +374,10 @@ class TestSurvives:
             survives("01", 0, ctx)  # inadmissible word
         with pytest.raises(ValueError):
             survives("001", 1, ctx)  # hole bound outside [0, 1)
+
+    def test_float_hole_bound_rejected(self):
+        with pytest.raises(TypeError, match="int, Fraction or FieldElement"):
+            survives("001", 0.25, make_context("golden"))
 
 
 class TestShiftCommutation:

@@ -18,7 +18,7 @@ from betahole.numberfield import (
     eval_periodic,
     make_context,
 )
-from betahole.words import PeriodicSeq
+from betahole.words import PeriodicSeq, rotations
 
 ALL_KINDS = list(BetaKind)
 
@@ -419,3 +419,30 @@ class TestEval:
         a = eval_eventually_periodic(PeriodicSeq("001", "01"), ctx)
         b = eval_eventually_periodic(PeriodicSeq("0", "0101"), ctx)
         assert a == b
+
+
+def assert_rotation_bounds_sound(ctx, w):
+    """lows[j] <= V(rotation j) <= top for every j, with k = j, checked exactly."""
+    rots = rotations(w)
+    shift = 64 * (ctx.degree - 1)
+    for j, r in enumerate(rots):
+        lows, top = ctx.rotation_bounds(rots, j)
+        v = [c << shift for c in ctx.int_horner(r)]  # V(r) as integer coefficients
+        assert ctx.int_sign((v[0] - lows[j], *v[1:])) >= 0, (w, j)
+        assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, j)
+        if ctx.degree == 1:
+            assert lows == [int(x, 2) for x in rots]
+
+
+class TestRotationBounds:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_word_up_to_length_10(self, kind):
+        ctx = make_context(kind)
+        for n in range(1, 11):
+            for v in range(1 << n):
+                assert_rotation_bounds_sound(ctx, format(v, f"0{n}b"))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(w=st.text(alphabet="01", min_size=1, max_size=64))
+    def test_random_words_up_to_length_64(self, kind, w):
+        assert_rotation_bounds_sound(make_context(kind), w)
