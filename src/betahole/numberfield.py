@@ -77,10 +77,6 @@ class BetaContext:
         # _pow_brackets[0][m] <= beta**m * 2**(64*(degree-1)) <= _pow_brackets[1][m]
         self._pow_brackets: tuple[list[int], list[int]] = ([], [])
 
-    @property
-    def name(self) -> str:
-        return self.kind.value
-
     def zero(self) -> "FieldElement":
         return FieldElement.from_int_coeffs(self, (0,) * self.degree)
 
@@ -88,7 +84,7 @@ class BetaContext:
         return self.from_rational(1)
 
     def from_rational(self, q) -> "FieldElement":
-        q = Fraction(q)
+        q = q if isinstance(q, int) else Fraction(q)  # an int has numerator and denominator
         return FieldElement.from_int_coeffs(
             self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator
         )
@@ -229,7 +225,7 @@ def make_context(kind: "BetaKind | str") -> BetaContext:
 
 
 def _cofactors(rows: list[tuple[int, ...]]) -> list[int]:
-    """First-row cofactors of a square integer matrix of size <= 3, by expansion."""
+    """First-row cofactors of a square integer matrix, by Laplace expansion."""
     minors = ([r[:k] + r[k + 1 :] for r in rows[1:]] for k in range(len(rows)))
     return [(-1) ** k * _det(m) for k, m in enumerate(minors)]
 

@@ -6,6 +6,12 @@ primitive cyclic words, (2) the known critical words per period class, and
 (3) closed-form expressions in Q(beta).  The cross-check engine runs all
 available paths and demands exact agreement.
 
+Paths (2) and (3) are separate tables keyed by period class p = step*z + offset
+(z+1 for base 2; 2z+1, 4z+2, 4z+4 for golden; 3z+2, 6z+1, 6z+4, 9z, 9z+3, 9z+6
+for tribonacci).  The words of golden p = 1, 2, 4, 6 and tribonacci p = 1, 3, 4, 6
+are listed apart, and there is no closed form at golden p = 2 and tribonacci
+p = 1, 3, 4, 6.  Within each class the critical values increase to 1 - 1/beta.
+
 The exhaustive search with W workers stripes the delta(beta)-pruned Lyndon
 word stream round-robin into W shards: shard i takes words i, i + W, ...
 Each command opens at most one process pool (none when W = 1) and maps the
@@ -147,63 +153,50 @@ def brute_force_S(
     return record
 
 
-def _block(reps: int) -> str:
-    """The building block 01 (011)^reps of the tribonacci critical words."""
-    return "01" + "011" * reps
+def _family(classes, p: int):
+    """The (z, entry) of the class (step, offset, entry) with p = step*z + offset."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    # unpacking exactly one match makes a gap or an overlap in the classes raise
+    ((z, entry),) = [((p - o) // s, e) for s, o, e in classes if (p - o) % s == 0]
+    return z, entry
+
+
+# kind -> (exceptional periods, [(step, offset, pieces)]).  For p = step*z + offset
+# the critical word joins the pieces (block, a, c), each block repeated a*z + c
+# times; an exception of None is an S = 0 branch.  The tribonacci words are made
+# of blocks 01 (011)^(z+c).
+_WORDS = {
+    BetaKind.BASE2: ({}, [(1, 1, [("0", 0, 1), ("1", 1, 0)])]),
+    BetaKind.GOLDEN: ({1: None, 2: None, 4: "0001", 6: "000101"}, [
+        (2, 1, [("0", 0, 1), ("01", 1, 0)]),
+        (4, 2, [("001", 0, 1), ("01", 1, -2), ("001", 0, 1), ("01", 1, 0)]),
+        (4, 4, [("001", 0, 1), ("01", 1, -1), ("001", 0, 1), ("01", 1, 0)]),
+    ]),
+    BetaKind.TRIBONACCI: ({1: None, 3: "001", 4: "0011", 6: "001101"}, [
+        (3, 2, [("01", 0, 1), ("011", 1, 0)]),
+        (6, 1, [("01", 0, 1), ("011", 1, -1), ("01", 0, 1), ("011", 1, 0)]),
+        (6, 4, [("01", 0, 1), ("011", 1, -1), ("01", 0, 1), ("011", 1, 1)]),
+        (9, 0, [("01", 0, 1), ("011", 1, -1), ("01", 0, 1), ("011", 1, -1),
+                ("01", 0, 1), ("011", 1, 0)]),
+        (9, 3, [("01", 0, 1), ("011", 1, -1), ("01", 0, 1), ("011", 1, 0),
+                ("01", 0, 1), ("011", 1, 0)]),
+        (9, 6, [("01", 0, 1), ("011", 1, -1), ("01", 0, 1), ("011", 1, 1),
+                ("01", 0, 1), ("011", 1, 0)]),
+    ]),
+}
 
 
 def theorem_word(kind: "BetaKind | str", p: int) -> str | None:
     """The asserted critical word for period p, or None on the S=0 branches."""
-    kind = BetaKind(kind)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if kind is BetaKind.BASE2:
-        return "0" + "1" * (p - 1)
-    if kind is BetaKind.GOLDEN:
-        if p in (1, 2):
-            return None
-        if p % 2 == 1:
-            return "0" + "01" * ((p - 1) // 2)
-        if p == 4:
-            return "0001"
-        if p == 6:
-            return "000101"
-        if p % 4 == 2:
-            m = (p - 2) // 4  # m >= 2 here
-            return "001" + "01" * (m - 2) + "001" + "01" * m
-        m = (p - 4) // 4  # p = 4m+4, m >= 1
-        return "001" + "01" * (m - 1) + "001" + "01" * m
-    # tribonacci
-    if p == 1:
-        return None
-    if p == 3:
-        return "001"
-    if p == 4:
-        return "0011"
-    if p == 6:
-        return "001101"
-    if p % 3 == 2:
-        return _block((p - 2) // 3)
-    if p % 3 == 1:
-        m = (p - 1) // 3  # m >= 2 here
-        if m % 2 == 0:
-            z = m // 2
-            return _block(z - 1) + _block(z)
-        z = (m - 1) // 2
-        return _block(z - 1) + _block(z + 1)
-    m = p // 3  # p = 3m, m >= 3 here
-    if m % 3 == 0:
-        z = m // 3
-        return _block(z - 1) + _block(z - 1) + _block(z)
-    if m % 3 == 1:
-        z = (m - 1) // 3
-        return _block(z - 1) + _block(z) + _block(z)
-    z = (m - 2) // 3
-    return _block(z - 1) + _block(z + 1) + _block(z)
+    exceptions, classes = _WORDS[BetaKind(kind)]
+    if p in exceptions:
+        return exceptions[p]
+    z, pieces = _family(classes, p)
+    return "".join(block * (a * z + c) for block, a, c in pieces)
 
 
 def theorem_record(kind: "BetaKind | str", p: int, digits: int = 10) -> SurvivorRecord:
-    kind = BetaKind(kind)
     ctx = make_context(kind)
     w = theorem_word(kind, p)
     if w is None:
@@ -212,75 +205,47 @@ def theorem_record(kind: "BetaKind | str", p: int, digits: int = 10) -> Survivor
     return SurvivorRecord(p, w, value, value.decimal(digits), THEOREM, False, 1)
 
 
+# kind -> (uncovered periods, [(step, offset, f)]).  For p = step*z + offset the
+# paper's printed expression is f(b, z), where b(k) = beta**k.
+_CLOSED = {
+    BetaKind.BASE2: (set(), [(1, 1, lambda b, z: (b(z) - 1) / (b(z + 1) - 1))]),
+    BetaKind.GOLDEN: ({2}, [
+        (2, 1, lambda b, z: (1 - b(2 * z)) / ((b(2 * z + 1) - 1) * (1 - b(2)))),
+        (4, 2, lambda b, z: (1 + b(2 * z + 3) - b(2 * z + 2) - b(4 * z + 1))
+            / ((b(4 * z + 2) - 1) * (1 - b(2)))),
+        (4, 4, lambda b, z: (1 + b(2 * z + 3) - b(2 * z + 2) - b(4 * z + 3))
+            / ((b(4 * z + 4) - 1) * (1 - b(2)))),
+    ]),
+    BetaKind.TRIBONACCI: ({1, 3, 4, 6}, [
+        (3, 2, lambda b, z: (1 + b(1) - b(3 * z + 1) - b(3 * z + 3))
+            / ((1 - b(3)) * (b(3 * z + 2) - 1))),
+        (6, 1, lambda b, z: (1 + b(1) + b(3 * z + 2) - b(3 * z + 1) - b(6 * z) - b(6 * z + 2))
+            / ((1 - b(3)) * (b(6 * z + 1) - 1))),
+        (6, 4, lambda b, z: (1 + b(1) + b(3 * z + 5) - b(3 * z + 4) - b(6 * z + 3) - b(6 * z + 5))
+            / ((1 - b(3)) * (b(6 * z + 4) - 1))),
+        (9, 0, lambda b, z: (1 + b(1) + b(3 * z + 2) + b(6 * z + 1)
+                             - b(3 * z + 1) - b(6 * z) - b(9 * z - 1) - b(9 * z + 1))
+            / ((1 - b(3)) * (b(9 * z) - 1))),
+        (9, 3, lambda b, z: (1 + b(1) + b(3 * z + 2) + b(6 * z + 4)
+                             - b(3 * z + 1) - b(6 * z + 3) - b(9 * z + 2) - b(9 * z + 4))
+            / ((1 - b(3)) * (b(9 * z + 3) - 1))),
+        (9, 6, lambda b, z: (1 + b(1) + b(3 * z + 2) + b(6 * z + 7)
+                             - b(3 * z + 1) - b(6 * z + 6) - b(9 * z + 5) - b(9 * z + 7))
+            / ((1 - b(3)) * (b(9 * z + 6) - 1))),
+    ]),
+}
+
+
 def closed_form(kind: "BetaKind | str", p: int) -> FieldElement | None:
     """Exact evaluation of the printed rational expressions; None where uncovered."""
-    kind = BetaKind(kind)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    ctx = make_context(kind)
-    b = ctx.beta_pow
-    if kind is BetaKind.BASE2:
-        return ctx.from_rational(2 ** (p - 1) - 1) / (2**p - 1)
-    if kind is BetaKind.GOLDEN:
-        if p == 2:
-            return None
-        if p % 2 == 1:
-            m = (p - 1) // 2
-            return (1 - b(2 * m)) / ((b(2 * m + 1) - 1) * (1 - b(2)))
-        if p == 4:
-            return 1 / (b(4) - 1)
-        if p == 6:
-            return (b(2) + 1) / (b(6) - 1)
-        if p % 4 == 2:
-            m = (p - 2) // 4
-            return (1 + b(2 * m + 3) - b(2 * m + 2) - b(4 * m + 1)) / (
-                (b(4 * m + 2) - 1) * (1 - b(2))
-            )
-        m = (p - 4) // 4
-        return (1 + b(2 * m + 3) - b(2 * m + 2) - b(4 * m + 3)) / (
-            (b(4 * m + 4) - 1) * (1 - b(2))
-        )
-    # tribonacci
-    if p in (1, 3, 4, 6):
+    uncovered, classes = _CLOSED[BetaKind(kind)]
+    if p in uncovered:
         return None
-    if p % 3 == 2:
-        m = (p - 2) // 3
-        return (1 + b(1) - b(3 * m + 1) - b(3 * m + 3)) / (
-            (1 - b(3)) * (b(3 * m + 2) - 1)
-        )
-    if p % 3 == 1:
-        m = (p - 1) // 3
-        if m % 2 == 0:
-            z = m // 2
-            return (1 + b(1) + b(3 * z + 2) - b(3 * z + 1) - b(6 * z) - b(6 * z + 2)) / (
-                (1 - b(3)) * (b(6 * z + 1) - 1)
-            )
-        z = (m - 1) // 2
-        return (1 + b(1) + b(3 * z + 5) - b(3 * z + 4) - b(6 * z + 3) - b(6 * z + 5)) / (
-            (1 - b(3)) * (b(6 * z + 4) - 1)
-        )
-    m = p // 3
-    if m % 3 == 0:
-        z = m // 3
-        return (
-            1 + b(1) + b(3 * z + 2) + b(6 * z + 1)
-            - b(3 * z + 1) - b(6 * z) - b(9 * z - 1) - b(9 * z + 1)
-        ) / ((1 - b(3)) * (b(9 * z) - 1))
-    if m % 3 == 1:
-        z = (m - 1) // 3
-        return (
-            1 + b(1) + b(3 * z + 2) + b(6 * z + 4)
-            - b(3 * z + 1) - b(6 * z + 3) - b(9 * z + 2) - b(9 * z + 4)
-        ) / ((1 - b(3)) * (b(9 * z + 3) - 1))
-    z = (m - 2) // 3
-    return (
-        1 + b(1) + b(3 * z + 2) + b(6 * z + 7)
-        - b(3 * z + 1) - b(6 * z + 6) - b(9 * z + 5) - b(9 * z + 7)
-    ) / ((1 - b(3)) * (b(9 * z + 6) - 1))
+    z, f = _family(classes, p)
+    return f(make_context(kind).beta_pow, z)
 
 
 def closed_record(kind: "BetaKind | str", p: int, digits: int = 10) -> SurvivorRecord | None:
-    kind = BetaKind(kind)
     value = closed_form(kind, p)
     if value is None:
         return None
@@ -288,15 +253,12 @@ def closed_record(kind: "BetaKind | str", p: int, digits: int = 10) -> SurvivorR
 
 
 def limit_value(kind: "BetaKind | str") -> FieldElement:
-    """The exact constant the critical values increase to within each family."""
-    kind = BetaKind(kind)
-    ctx = make_context(kind)
-    b = ctx.beta_pow
-    if kind is BetaKind.BASE2:
-        return ctx.from_rational(1) / 2
-    if kind is BetaKind.GOLDEN:
-        return 1 / (b(3) - b(1))
-    return (b(2) + 1) / (b(4) - b(1))
+    """The exact constant the critical values increase to within each family.
+
+    It is 1 - 1/beta for every kind, which equals the abstract's 1/2,
+    1/(beta^3 - beta) and (beta^2 + 1)/(beta^4 - beta).
+    """
+    return 1 - 1 / make_context(kind).beta()
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,6 @@ class PeriodicSeq:
             return self
         return PeriodicSeq("", p[1:] + p[0])
 
-    def is_purely_periodic(self) -> bool:
-        return not self.canonical().pre
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicSeq):
             return NotImplemented

@@ -218,12 +218,22 @@ class TestClosedForm:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_theorem_word_value(self, kind):
         ctx = make_context(kind)
-        for p in range(1, 21):
+        # p <= 200 reaches z >= 2 in every class, 9z + 3 and 9z + 6 included
+        for p in range(1, 201):
             cf = closed_form(kind, p)
             w = theorem_word(kind, p)
             if cf is None or w is None:
                 continue
             assert cf == eval_periodic(w, ctx)
+
+
+@pytest.mark.parametrize("path", [theorem_word, closed_form])
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_nonpositive_period_rejected(kind, p, path):
+    # the class lookup alone would put golden p = 0 in 4z + 4 at z = -1
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        path(kind, p)
 
 
 class TestLimit:
