@@ -12,9 +12,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .numberfield import BetaContext, FieldElement
-from .words import PeriodicSeq, check_word, rotations, smallest_period
+from .words import PeriodicSeq, rotations, smallest_period
 
 
 def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
@@ -99,24 +100,30 @@ class AdmissibilityReport:
         )
 
 
-def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
-    """Check every rotation of w against delta(beta), smallest offset first.
+@lru_cache(maxsize=64)
+def _delta_window(p: int, dper: str) -> tuple[int, str]:
+    """(reps, stream) such that a length-p rotation r is admissible iff r * reps < stream.
 
-    Rotation k of w, extended periodically, is compared on its first
-    n = lcm(len(w), len(delta period)) symbols, a slice of one repeated w,
-    against the same n symbols of delta(beta); past n both repeat.
+    Both sides are n = lcm(p, len(dper)) symbols long: r extended periodically
+    against delta(beta) = (dper)^inf; past n both repeat.
     """
-    check_word(w)
-    p, dper = len(w), ctx.delta.period
     n = math.lcm(p, len(dper))
-    ww = w * (n // p + 1)
-    dstream = dper * (n // len(dper))
-    for offset in range(p):
-        if ww[offset : offset + n] >= dstream:
-            return AdmissibilityReport(
-                w, False, offset, (w[offset:] + w[:offset], str(ctx.delta))
-            )
-    return AdmissibilityReport(w, True)
+    return n // p, dper * (n // len(dper))
+
+
+def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
+    """Check every rotation of w against delta(beta); report the smallest failing offset.
+
+    Windows of equal-length rotations are ordered as the rotations are, so the
+    lexicographically greatest rotation decides for every offset; the offsets
+    are searched only when it fails.
+    """
+    rots = rotations(w)
+    reps, stream = _delta_window(len(w), ctx.delta.period)
+    if max(rots) * reps < stream:
+        return AdmissibilityReport(w, True)
+    offset = next(k for k, r in enumerate(rots) if r * reps >= stream)
+    return AdmissibilityReport(w, False, offset, (rots[offset], str(ctx.delta)))
 
 
 def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
@@ -138,18 +145,22 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
     return out
 
 
-def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]:
+def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]] | None:
     """Offset and numerator of the rotation of w with the smallest periodic value.
 
-    One certificate for two routes: the lexicographically least rotation must
-    have a strictly smaller exact value than every other rotation, or the
-    order/value correspondence is broken and this raises.  Integer bounds
-    (BetaContext.rotation_bounds) settle it first; only when some other
-    rotation's lower bound does not clear the lex-min rotation's upper bound
-    are the exact numerators compared.  w must be admissible and primitive (a
+    None when w is inadmissible, decided by the greatest rotation as in
+    is_admissible.  One certificate for two routes: the lexicographically least
+    rotation must have a strictly smaller exact value than every other
+    rotation, or the order/value correspondence is broken and this raises.
+    Integer bounds (BetaContext.rotation_bounds) settle it first; only when
+    some other rotation's lower bound does not clear the lex-min rotation's
+    upper bound are the exact numerators compared.  w must be primitive (a
     shorter period ties rotations).
     """
     rots = rotations(w)
+    reps, stream = _delta_window(len(w), ctx.delta.period)
+    if max(rots) * reps >= stream:
+        return None
     lex = rots.index(min(rots))
     lows, top = ctx.rotation_bounds(rots, lex)
     if min(lows[:lex] + lows[lex + 1 :], default=top + 1) <= top:

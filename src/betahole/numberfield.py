@@ -83,8 +83,10 @@ class BetaContext:
     def one(self) -> "FieldElement":
         return self.from_rational(1)
 
-    def from_rational(self, q) -> "FieldElement":
-        q = q if isinstance(q, int) else Fraction(q)  # an int has numerator and denominator
+    def from_rational(self, q: "int | Fraction") -> "FieldElement":
+        # int first: an int has numerator and denominator, so it needs no Fraction
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"a rational must be int or Fraction, not {type(q).__name__}")
         return FieldElement.from_int_coeffs(
             self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator
         )
@@ -124,18 +126,27 @@ class BetaContext:
 
         V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
         value is a 0/1 sum of powers of beta, so summing each power's bracket
-        bounds it whatever the coefficient signs; base 2 is exact.
+        bounds it whatever the coefficient signs; base 2 is exact.  If rots[k]
+        starts with z zeros, a rotation with fewer has a 1 at an index a < z, so
+        its value is at least beta**(p-z): that one bracket bounds it when above top.
         """
         if self.degree == 1:
             lows = [int(r, 2) for r in rots]
             return lows, lows[k]
         lo, hi = self._pow_brackets
-        while len(lo) < len(rots[0]):
+        p = len(rots[0])
+        while len(lo) < p:
             a, b = self.bracket(self.int_beta_pow(len(lo)), 64)
             lo.append(a)
             hi.append(b)
-        ones = [r[::-1].encode().translate(_BITS) for r in rots]
-        return [sum(compress(lo, o)) for o in ones], sum(compress(hi, ones[k]))
+        top = sum(compress(hi, rots[k][::-1].encode().translate(_BITS)))
+        z = p - len(rots[k].lstrip("0"))
+        zeros = rots[k][:z] if z and lo[p - z] > top else ""  # "" sums every rotation
+        return [
+            sum(compress(lo, r[::-1].encode().translate(_BITS)))
+            if r.startswith(zeros) else lo[p - z]
+            for r in rots
+        ], top
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
         cache = self._int_powers
@@ -243,7 +254,10 @@ class FieldElement:
 
     __slots__ = ("ctx", "nums", "den")
 
-    def __init__(self, ctx: BetaContext, coeffs: tuple[Fraction, ...]) -> None:
+    def __init__(self, ctx: BetaContext, coeffs: tuple["int | Fraction", ...]) -> None:
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"a coefficient must be int or Fraction, not {type(c).__name__}")
         coeffs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coeffs))
         self._store(ctx, [c.numerator * (den // c.denominator) for c in coeffs], den)

@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice, repeat
 
-from .expansions import is_admissible, orbit_min_numerator
+from .expansions import orbit_min_numerator
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
 from .words import lex_min_rotation, primitive_representatives
 
@@ -71,7 +71,7 @@ def _best(ctx: BetaContext, candidates):
     Keeps the largest numerator (None entries are skipped) and sums the ties
     of equal ones; the lexicographically smallest word wins a tie, so the
     result does not depend on the order of the triples.  All words have the
-    same length, so string order is value order.
+    same length, so string order is binary-numeral order; it only breaks ties.
     """
     best_num: tuple[int, ...] | None = None
     best_word: str | None = None
@@ -98,12 +98,10 @@ def _scan_shard(kind_value: str, p: int, shard: int, shards: int):
     in the first shard.
     """
     ctx = make_context(kind_value)
-    # pruning by delta(beta) drops only inadmissible words; each survivor is still checked
+    # pruning by delta(beta) drops only inadmissible words; orbit_min_numerator checks the rest
     words = islice(primitive_representatives(p, below=ctx.delta.period), shard, None, shards)
-    return _best(
-        ctx,
-        ((orbit_min_numerator(w, ctx)[1], w, 1) for w in words if is_admissible(w, ctx).admissible),
-    )
+    found = ((orbit_min_numerator(w, ctx), w) for w in words)
+    return _best(ctx, ((m[1], w, 1) for m, w in found if m is not None))
 
 
 def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):

@@ -39,7 +39,8 @@ def smallest_period(w: str) -> int:
 def rotations(w: str) -> list[str]:
     """All cyclic rotations of w, in rotation-offset order (offset 0 first)."""
     check_word(w)
-    return [w[k:] + w[:k] for k in range(len(w))]
+    p, ww = len(w), w + w
+    return [ww[k : k + p] for k in range(p)]
 
 
 def lex_min_rotation(w: str) -> str:

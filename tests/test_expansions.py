@@ -209,6 +209,25 @@ def test_admissibility_matches_reference_loop(kind, w):
     assert is_admissible(w, ctx) == reference_admissibility(w, ctx)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_verdict_for_every_word_up_to_length_12(kind):
+    # the greatest rotation decides admissibility for every offset
+    ctx = make_context(kind)
+    for w in all_words(12):
+        ref = reference_admissibility(w, ctx)
+        assert is_admissible(w, ctx) == ref
+        if not ref.admissible:
+            assert orbit_min_numerator(w, ctx) is None
+        elif smallest_period(w) == len(w):
+            least = lex_min_rotation(w)
+            assert orbit_min_numerator(w, ctx) == (
+                rotations(w).index(least), ctx.int_horner(least)
+            )
+        else:  # a shorter period ties the lex-min rotation with another
+            with pytest.raises(RuntimeError):
+                orbit_min_numerator(w, ctx)
+
+
 class TestOrbitMin:
     def test_golden_example(self):
         ctx = make_context("golden")
@@ -349,6 +368,16 @@ class TestOrbitMin:
                 if is_admissible(w, ctx).admissible:
                     orbit_min_numerator(w, ctx)
                     n += 1
+        assert n > 0 and numerator_calls == []
+
+    @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
+    def test_bounds_decide_every_enumerated_word_up_to_p20(self, numerator_calls, kind):
+        # the enumeration verify --pmax 20 runs; base 2 is exact at every p
+        ctx = make_context(kind)
+        n = 0
+        for p in range(1, 21):
+            for w in primitive_representatives(p, below=ctx.delta.period):
+                n += orbit_min_numerator(w, ctx) is not None
         assert n > 0 and numerator_calls == []
 
     def test_rotation_numerators_match_direct_evaluation(self):

@@ -92,6 +92,22 @@ class TestArithmetic:
         assert 1 + b - b * b == ctx.zero()
         assert (Fraction(1, 2) * b) * 2 == b
 
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", Decimal("0.5")])
+    def test_exact_constructors_reject_inexact_input(self, bad):
+        # a float would silently become its binary fraction, 0.1 -> 3602879701896397/2**55
+        ctx = make_context("golden")
+        with pytest.raises(TypeError, match=f"must be int or Fraction, not {type(bad).__name__}"):
+            ctx.from_rational(bad)
+        with pytest.raises(TypeError, match=f"must be int or Fraction, not {type(bad).__name__}"):
+            FieldElement(ctx, (bad, 0))
+        with pytest.raises(TypeError, match=f"must be int or Fraction, not {type(bad).__name__}"):
+            FieldElement(ctx, (1, bad))
+
+    def test_exact_constructors_take_int_and_fraction(self):
+        ctx = make_context("golden")
+        assert ctx.from_rational(Fraction(1, 3)).coeffs == (Fraction(1, 3), 0)
+        assert FieldElement(ctx, (1, Fraction(1, 2))) == 1 + ctx.beta() / 2
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_field_axioms_random(self, kind):
         ctx = make_context(kind)
@@ -434,7 +450,33 @@ def assert_rotation_bounds_sound(ctx, w):
             assert lows == [int(x, 2) for x in rots]
 
 
+def assert_every_lower_bound_sound(ctx, w):
+    """lows[j] <= V(rotation j) for every j, whichever rotation k the bounds are taken for.
+
+    The largest lower bound of rotation j over all k is checked exactly, so a
+    lower bound that depends on rotation k is covered too.
+    """
+    rots = rotations(w)
+    shift = 64 * (ctx.degree - 1)
+    highest = [max(col) for col in zip(*(ctx.rotation_bounds(rots, k)[0] for k in range(len(rots))))]
+    for j, r in enumerate(rots):
+        v = [c << shift for c in ctx.int_horner(r)]
+        assert ctx.int_sign((v[0] - highest[j], *v[1:])) >= 0, (w, j)
+
+
 class TestRotationBounds:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_lower_bound_of_every_word_up_to_length_10(self, kind):
+        ctx = make_context(kind)
+        for n in range(1, 11):
+            for v in range(1 << n):
+                assert_every_lower_bound_sound(ctx, format(v, f"0{n}b"))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(w=st.text(alphabet="01", min_size=1, max_size=64))
+    def test_every_lower_bound_of_random_words_up_to_length_64(self, kind, w):
+        assert_every_lower_bound_sound(make_context(kind), w)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_every_word_up_to_length_10(self, kind):
         ctx = make_context(kind)
@@ -446,3 +488,25 @@ class TestRotationBounds:
     @given(w=st.text(alphabet="01", min_size=1, max_size=64))
     def test_random_words_up_to_length_64(self, kind, w):
         assert_rotation_bounds_sound(make_context(kind), w)
+
+    @pytest.mark.parametrize(
+        "kind, w, z",
+        # the critical words of period 20, lex-min rotation first
+        [("golden", "00101010100101010101", 2), ("tribonacci", "01011011011011011011", 1)],
+    )
+    def test_rotations_with_fewer_leading_zeros_take_the_lead_power_bound(self, kind, w, z):
+        # w starts with z zeros; every rotation with fewer is at least beta**(p-z),
+        # and that one bracket is its lower bound
+        ctx = make_context(kind)
+        rots, p = rotations(w), len(w)
+        lows, top = ctx.rotation_bounds(rots, 0)
+        lo = ctx._pow_brackets[0]
+        assert min(rots) == w and lo[p - z] > top
+        shortcut = [j for j, r in enumerate(rots) if not r.startswith("0" * z)]
+        assert len(shortcut) > p // 2
+        for j, r in enumerate(rots):
+            if j in shortcut:
+                assert lows[j] == lo[p - z]
+            else:  # the full sum of lower brackets
+                assert lows[j] == sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
+        assert_rotation_bounds_sound(ctx, w)
