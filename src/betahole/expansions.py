@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numberfield import BetaContext, FieldElement
-from .words import PeriodicSeq, rotations, smallest_period
+from .words import PeriodicSeq, check_word, rotations, smallest_period
 
 
 def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
@@ -101,27 +101,42 @@ class AdmissibilityReport:
 
 
 @lru_cache(maxsize=64)
-def _delta_window(p: int, dper: str) -> tuple[int, str]:
-    """(reps, stream) such that a length-p rotation r is admissible iff r * reps < stream.
+def _delta_window(p: int, dper: str) -> tuple[int, str, int, tuple[str, ...]]:
+    """(reps, stream, copies, factors) for the length-p words against delta(beta).
 
-    Both sides are n = lcm(p, len(dper)) symbols long: r extended periodically
-    against delta(beta) = (dper)^inf; past n both repeat.
+    A rotation r is admissible iff r * reps < stream, both n = lcm(p, len(dper))
+    symbols long: past n, r^inf and delta(beta) = (dper)^inf both repeat.  Some
+    rotation of w fails iff w * copies contains a factor: stream[:j] + "1" with
+    stream[j] == "0" and none of the others inside (so j < len(dper)), or
+    stream[:p] when a rotation's power can equal delta.
     """
     n = math.lcm(p, len(dper))
-    return n // p, dper * (n // len(dper))
+    reps, stream = n // p, dper * (n // len(dper))
+    passes = [dper[:j] + "1" for j, c in enumerate(dper) if c == "0"]
+    factors = tuple(f for f in passes if not any(g != f and g in f for g in passes))
+    if stream[:p] * reps == stream:
+        factors += (stream[:p],)
+    return reps, stream, (2 * p - 2 + max(map(len, factors))) // p, factors
+
+
+def _exceeds_delta(w: str, dper: str) -> bool:
+    """Whether some rotation r of w has r^inf >= (dper)^inf (see _delta_window)."""
+    _, _, copies, factors = _delta_window(len(w), dper)
+    ww = w * copies
+    return any(f in ww for f in factors)
 
 
 def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
     """Check every rotation of w against delta(beta); report the smallest failing offset.
 
-    Windows of equal-length rotations are ordered as the rotations are, so the
-    lexicographically greatest rotation decides for every offset; the offsets
-    are searched only when it fails.
+    The verdict is a search for delta's failing factors in w^inf
+    (_exceeds_delta); the offsets are searched only when it fails.
     """
-    rots = rotations(w)
-    reps, stream = _delta_window(len(w), ctx.delta.period)
-    if max(rots) * reps < stream:
+    check_word(w)
+    if not _exceeds_delta(w, ctx.delta.period):
         return AdmissibilityReport(w, True)
+    reps, stream, _, _ = _delta_window(len(w), ctx.delta.period)
+    rots = rotations(w)
     offset = next(k for k, r in enumerate(rots) if r * reps >= stream)
     return AdmissibilityReport(w, False, offset, (rots[offset], str(ctx.delta)))
 
@@ -148,30 +163,44 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
 def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]] | None:
     """Offset and numerator of the rotation of w with the smallest periodic value.
 
-    None when w is inadmissible, decided by the greatest rotation as in
-    is_admissible.  One certificate for two routes: the lexicographically least
-    rotation must have a strictly smaller exact value than every other
-    rotation, or the order/value correspondence is broken and this raises.
-    Integer bounds (BetaContext.rotation_bounds) settle it first; only when
-    some other rotation's lower bound does not clear the lex-min rotation's
-    upper bound are the exact numerators compared.  w must be primitive (a
-    shorter period ties rotations).
+    None when w is inadmissible (_exceeds_delta).  Only the rotations starting
+    with the longest cyclic zero run of w can be least.  One certificate for
+    two routes: the lexicographically least of them must have a strictly
+    smaller exact value than every other rotation, or this raises.  Integer
+    bounds (BetaContext.rotation_bounds) on those candidates settle it first;
+    one rotation with fewer leading zeros stands for all such rotations, as
+    they share its lower bound.  Only when a bound cannot decide are the exact
+    numerators of all rotations compared.  w must be primitive (a shorter
+    period ties rotations).
     """
-    rots = rotations(w)
-    reps, stream = _delta_window(len(w), ctx.delta.period)
-    if max(rots) * reps >= stream:
+    p = len(check_word(w))
+    if _exceeds_delta(w, ctx.delta.period):
         return None
-    lex = rots.index(min(rots))
-    lows, top = ctx.rotation_bounds(rots, lex)
-    if min(lows[:lex] + lows[lex + 1 :], default=top + 1) <= top:
+    ww = w + w
+    zeros = ""  # grows to the longest cyclic zero run
+    while len(zeros) < p and zeros + "0" in ww:
+        zeros += "0"
+    starts = []
+    k = ww.find(zeros)
+    while 0 <= k < p:
+        starts.append(k)
+        k = ww.find(zeros, k + 1)
+    rots = [ww[k : k + p] for k in starts]
+    i = rots.index(min(rots))
+    lex = starts[i]
+    if len(starts) < p:  # one stand-in for the rotations with fewer leading zeros
+        k = w.index("1")
+        rots.append(ww[k : k + p])
+    lows, top = ctx.rotation_bounds(rots, i)
+    del lows[i]
+    if min(lows, default=top + 1) <= top:
         nums = rotation_numerators(w, ctx)
-        least = nums[lex]
         for k, n in enumerate(nums):
-            if k != lex and ctx.int_compare(n, least) <= 0:
+            if k != lex and ctx.int_compare(n, nums[lex]) <= 0:
                 raise RuntimeError(
                     f"rotation {k} of {w} is not above its lex-min rotation {lex} in value"
                 )
-    return lex, ctx.int_horner(rots[lex])
+    return lex, ctx.int_horner(rots[i])
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:

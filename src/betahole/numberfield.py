@@ -128,25 +128,25 @@ class BetaContext:
         value is a 0/1 sum of powers of beta, so summing each power's bracket
         bounds it whatever the coefficient signs; base 2 is exact.  If rots[k]
         starts with z zeros, a rotation with fewer has a 1 at an index a < z, so
-        its value is at least beta**(p-z): that one bracket bounds it when above top.
+        its value is at least beta**(p-z): every such rotation gets that one
+        bracket, and only those starting with z zeros are summed.
         """
-        if self.degree == 1:
-            lows = [int(r, 2) for r in rots]
-            return lows, lows[k]
         lo, hi = self._pow_brackets
         p = len(rots[0])
         while len(lo) < p:
             a, b = self.bracket(self.int_beta_pow(len(lo)), 64)
             lo.append(a)
             hi.append(b)
-        top = sum(compress(hi, rots[k][::-1].encode().translate(_BITS)))
+        if self.degree == 1:  # exact brackets: the sum is the number itself
+            def total(r, _):
+                return int(r, 2)
+        else:
+            def total(r, b):
+                return sum(compress(b, r[::-1].encode().translate(_BITS)))
+        top = total(rots[k], hi)
         z = p - len(rots[k].lstrip("0"))
-        zeros = rots[k][:z] if z and lo[p - z] > top else ""  # "" sums every rotation
-        return [
-            sum(compress(lo, r[::-1].encode().translate(_BITS)))
-            if r.startswith(zeros) else lo[p - z]
-            for r in rots
-        ], top
+        zeros = rots[k][:z]
+        return [total(r, lo) if r.startswith(zeros) else lo[p - z] for r in rots], top
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
         cache = self._int_powers

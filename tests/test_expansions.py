@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -210,8 +211,42 @@ def test_admissibility_matches_reference_loop(kind, w):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("bad", ["", "2", "012", "0 1"])
+def test_every_entry_point_rejects_a_word_that_is_not_binary(kind, bad):
+    ctx = make_context(kind)
+    for f in (orbit_min_numerator, is_admissible, orbit_min):
+        with pytest.raises(ValueError, match="not a nonempty binary word"):
+            f(bad, ctx)
+
+
+@pytest.mark.parametrize(
+    "dper",
+    # base 2, golden, tribonacci, 4-bonacci, supergolden, plastic, and a delta
+    # with two factor-minimal factors (111 and 11011)
+    ["1", "10", "110", "1110", "100", "10000", "11010"],
+)
+def test_factor_verdict_matches_every_rotation_for_words_up_to_length_12(dper):
+    for w in all_words(12):
+        n = math.lcm(len(w), len(dper))
+        reps, stream = n // len(w), dper * (n // len(dper))
+        assert expansions._exceeds_delta(w, dper) == any(
+            r * reps >= stream for r in rotations(w)
+        ), (dper, w)
+
+
+@pytest.mark.parametrize(
+    "dper, factors",
+    # base 2 has no factor passing delta, only 1^7 equal to it; golden and
+    # tribonacci have one each, and at p = 7 no rotation's power equals delta
+    [("1", ("1111111",)), ("10", ("11",)), ("110", ("111",))],
+)
+def test_only_factor_minimal_factors_are_kept(dper, factors):
+    assert expansions._delta_window(7, dper)[3] == factors
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_one_verdict_for_every_word_up_to_length_12(kind):
-    # the greatest rotation decides admissibility for every offset
+    # the factor search decides admissibility for every offset
     ctx = make_context(kind)
     for w in all_words(12):
         ref = reference_admissibility(w, ctx)
@@ -369,6 +404,31 @@ class TestOrbitMin:
                     orbit_min_numerator(w, ctx)
                     n += 1
         assert n > 0 and numerator_calls == []
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_only_the_candidate_rotations_and_one_stand_in_are_bounded(self, monkeypatch, kind):
+        # a silent return to bounding all p rotations would only slow the brute force down
+        real = BetaContext.rotation_bounds
+        bounded = []
+
+        def spy(self, rots, k):
+            bounded.append(len(rots))
+            return real(self, rots, k)
+
+        def no_rotations(w):
+            raise AssertionError(f"rotations({w!r}) called")
+
+        monkeypatch.setattr(BetaContext, "rotation_bounds", spy)
+        monkeypatch.setattr(expansions, "rotations", no_rotations)
+        ctx = make_context(kind)
+        for p in range(1, 15):
+            for w in primitive_representatives(p, below=ctx.delta.period):
+                bounded.clear()
+                if orbit_min_numerator(w, ctx) is None:
+                    continue
+                zeros = "0" * min(p, max(map(len, (w + w).split("1"))))
+                candidates = sum((w + w)[k:].startswith(zeros) for k in range(p))
+                assert len(bounded) == 1 and bounded[0] <= candidates + 1, (w, bounded)
 
     @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
     def test_bounds_decide_every_enumerated_word_up_to_p20(self, numerator_calls, kind):

@@ -446,8 +446,8 @@ def assert_rotation_bounds_sound(ctx, w):
         v = [c << shift for c in ctx.int_horner(r)]  # V(r) as integer coefficients
         assert ctx.int_sign((v[0] - lows[j], *v[1:])) >= 0, (w, j)
         assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, j)
-        if ctx.degree == 1:
-            assert lows == [int(x, 2) for x in rots]
+        if ctx.degree == 1:  # the brackets are exact
+            assert lows[j] == top == int(rots[j], 2)
 
 
 def assert_every_lower_bound_sound(ctx, w):
@@ -488,6 +488,22 @@ class TestRotationBounds:
     @given(w=st.text(alphabet="01", min_size=1, max_size=64))
     def test_random_words_up_to_length_64(self, kind, w):
         assert_rotation_bounds_sound(make_context(kind), w)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rotations_without_the_leading_zeros_share_the_lead_bound(self, kind):
+        # unconditionally, even where the bound does not clear top: a caller may
+        # pass one such rotation to stand for all of them
+        ctx = make_context(kind)
+        for n in range(1, 11):
+            for v in range(1 << n):
+                rots = rotations(format(v, f"0{n}b"))
+                for k, r in enumerate(rots):
+                    lows, _ = ctx.rotation_bounds(rots, k)
+                    z = n - len(r.lstrip("0"))
+                    lo = ctx._pow_brackets[0]
+                    for j, x in enumerate(rots):
+                        if not x.startswith(r[:z]):
+                            assert lows[j] == lo[n - z], (rots, k, j)
 
     @pytest.mark.parametrize(
         "kind, w, z",
