@@ -160,8 +160,9 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
     return out
 
 
-def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]] | None:
-    """Offset and numerator of the rotation of w with the smallest periodic value.
+def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int, int] | None:
+    """Offset of the rotation of w with the smallest periodic value, and integer
+    bounds low <= V <= top on that rotation (V as in BetaContext.rotation_bounds).
 
     None when w is inadmissible (_exceeds_delta).  Only the rotations starting
     with the longest cyclic zero run of w can be least.  One certificate for
@@ -170,8 +171,9 @@ def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]
     bounds (BetaContext.rotation_bounds) on those candidates settle it first;
     one rotation with fewer leading zeros stands for all such rotations, as
     they share its lower bound.  Only when a bound cannot decide are the exact
-    numerators of all rotations compared.  w must be primitive (a shorter
-    period ties rotations).
+    numerators of all rotations compared.  The least rotation's own bounds are
+    returned, so a caller can rank words without their exact values.  w must
+    be primitive (a shorter period ties rotations).
     """
     p = len(check_word(w))
     if _exceeds_delta(w, ctx.delta.period):
@@ -192,7 +194,7 @@ def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]
         k = w.index("1")
         rots.append(ww[k : k + p])
     lows, top = ctx.rotation_bounds(rots, i)
-    del lows[i]
+    low = lows.pop(i)
     if min(lows, default=top + 1) <= top:
         nums = rotation_numerators(w, ctx)
         for k, n in enumerate(nums):
@@ -200,14 +202,27 @@ def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]]
                 raise RuntimeError(
                     f"rotation {k} of {w} is not above its lex-min rotation {lex} in value"
                 )
-    return lex, ctx.int_horner(rots[i])
+    return lex, low, top
+
+
+def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]] | None:
+    """Offset and exact numerator of the rotation of w with the smallest periodic value.
+
+    The certificate of orbit_min_bounds, then int_horner of that rotation; None
+    when w is inadmissible.
+    """
+    bounds = orbit_min_bounds(w, ctx)
+    if bounds is None:
+        return None
+    lex = bounds[0]
+    return lex, ctx.int_horner(w[lex:] + w[:lex])
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     """The rotation of w with the smallest periodic value, and that exact value.
 
     That is the lexicographically least rotation, whose value must be strictly
-    below every other rotation's (see orbit_min_numerator), or RuntimeError.
+    below every other rotation's (see orbit_min_bounds), or RuntimeError.
     w must be admissible and primitive, or ValueError.
     """
     report = is_admissible(w, ctx)

@@ -21,13 +21,14 @@ order-independent rule, so the output does not depend on W.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice, repeat
 
-from .expansions import orbit_min_numerator
+from .expansions import orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
 from .words import lex_min_rotation, primitive_representatives
 
@@ -66,42 +67,64 @@ class SurvivorRecord:
 
 
 def _best(ctx: BetaContext, candidates):
-    """Fold (numerator, word, ties) triples, given in any order.
+    """Fold (low, top, word, ties) candidates, given in any order.
 
-    Keeps the largest numerator (None entries are skipped) and sums the ties
-    of equal ones; the lexicographically smallest word wins a tie, so the
-    result does not depend on the order of the triples.  All words have the
-    same length, so string order is binary-numeral order; it only breaks ties.
+    word is the least rotation of a class and low <= V(word) <= top bracket
+    its orbit minimum as BetaContext.rotation_bounds does; entries with word
+    None are skipped.  A candidate beats the incumbent when its low is above
+    the incumbent's top and loses when its top is below the incumbent's low;
+    only overlapping brackets compare the exact numerators int_horner(word).
+    Equal values sum their ties and keep the lexicographically smaller word
+    and both brackets' intersection, so the result does not depend on the
+    order of the candidates.  All words have the same length, so string order
+    is binary-numeral order; it only breaks ties.
     """
-    best_num: tuple[int, ...] | None = None
-    best_word: str | None = None
+    best_low = best_top = best_word = best_num = None
     ties = 0
-    for num, word, n in candidates:
-        if num is None:
+    for low, top, word, n in candidates:
+        if word is None:
             continue
-        if best_num is None or (c := ctx.int_compare(num, best_num)) > 0:
-            best_num, best_word, ties = num, word, n
+        if best_word is None or low > best_top:
+            best_low, best_top, best_word, ties, best_num = low, top, word, n, None
+            continue
+        if top < best_low:
+            continue
+        if best_num is None:
+            best_num = ctx.int_horner(best_word)
+        num = ctx.int_horner(word)
+        c = ctx.int_compare(num, best_num)
+        if c > 0:
+            best_low, best_top, best_word, ties, best_num = low, top, word, n, num
         elif c == 0:
+            best_low, best_top = max(low, best_low), min(top, best_top)
             best_word = min(best_word, word)
             ties += n
-    return best_num, best_word, ties
+    return best_low, best_top, best_word, ties
 
 
 def _scan_shard(kind_value: str, p: int, shard: int, shards: int):
     """Best admissible class among words shard, shard + shards, ... of the
     pruned enumeration; pure, fork-safe.
 
-    Returns (numerator coefficients of the best orbit minimum, best word,
-    tie count) with ties resolved toward the lexicographically smaller word.
-    Striping the word stream balances the shards: every Lyndon word of
-    length >= 2 starts with 0, so a split by value would leave all of them
-    in the first shard.
+    Returns the _best fold of (low, top, least rotation, 1) for every
+    admitted word, with the bounds of orbit_min_bounds, so no exact
+    numerator is built unless two brackets overlap.  Striping the word stream
+    balances the shards: every Lyndon word of length >= 2 starts with 0, so a
+    split by value would leave all of them in the first shard.
     """
     ctx = make_context(kind_value)
-    # pruning by delta(beta) drops only inadmissible words; orbit_min_numerator checks the rest
+    # pruning by delta(beta) drops only inadmissible words; orbit_min_bounds checks the rest
     words = islice(primitive_representatives(p, below=ctx.delta.period), shard, None, shards)
-    found = ((orbit_min_numerator(w, ctx), w) for w in words)
-    return _best(ctx, ((m[1], w, 1) for m, w in found if m is not None))
+    return _best(ctx, _candidates(ctx, words))
+
+
+def _candidates(ctx: BetaContext, words):
+    """(low, top, least rotation, 1) for each admissible word, by orbit_min_bounds."""
+    for w in words:
+        bounds = orbit_min_bounds(w, ctx)
+        if bounds is not None:
+            lex, low, top = bounds
+            yield low, top, w[lex:] + w[:lex], 1
 
 
 def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):
@@ -109,9 +132,11 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
 
     Every period is checked against the caps before any word is enumerated.
     The W = min(workers, cores) shards of each period run in one process
-    pool shared by all periods, or in this process when W = 1.
+    pool shared by all periods, or in this process when W = 1.  Only the
+    winner of each period gets an exact numerator here.
     """
-    ps = list(ps)
+    ps = [operator.index(p) for p in ps]
+    workers = operator.index(workers)
     for p in ps:
         if p < 1:
             raise ValueError("p must be >= 1")
@@ -131,12 +156,12 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
         run = pool.map if pool else map
         for p in ps:
             parts = run(_scan_shard, repeat(kind_value), repeat(p), range(workers), repeat(workers))
-            best_num, best_word, ties = _best(ctx, parts)
-            if best_num is None:
+            _, _, word, ties = _best(ctx, parts)
+            if word is None:
                 yield SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
                 continue
-            value = ctx.periodic_value(best_num, p)
-            yield SurvivorRecord(p, best_word, value, value.decimal(digits), BRUTE, False, ties)
+            value = ctx.periodic_value(ctx.int_horner(word), p)
+            yield SurvivorRecord(p, word, value, value.decimal(digits), BRUTE, False, ties)
 
 
 def brute_force_S(

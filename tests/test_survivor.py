@@ -6,7 +6,7 @@ import pytest
 
 import betahole.survivor as survivor
 from betahole.expansions import is_admissible
-from betahole.numberfield import BetaKind, eval_periodic, make_context
+from betahole.numberfield import BetaContext, BetaKind, eval_periodic, make_context
 from betahole.survivor import (
     BRUTE,
     CLOSED,
@@ -107,15 +107,44 @@ class TestBruteForce:
 
 
 def test_best_fold_keeps_the_earliest_word_and_sums_ties():
-    # the fold that serves both one range's words and the merge of the ranges' results
+    # the fold that serves both one shard's words and the merge of the shards' results;
+    # golden: 0011 and 0100 are both beta^2, 0110 and 1000 both beta^3 (x10: 26.2, 42.4)
     ctx = make_context("golden")
-    low, high = (1, 0), (0, 1)  # 1 < beta
-    parts = [(None, None, 0), (low, "a", 2), (high, "b", 1), (high, "c", 3), (low, "d", 1)]
-    assert survivor._best(ctx, parts) == (high, "b", 4)
-    assert survivor._best(ctx, [(None, None, 0)]) == (None, None, 0)
+    parts = [
+        (None, None, None, 0),
+        (25, 27, "0011", 2),
+        (41, 43, "0110", 1),
+        (42, 44, "1000", 3),
+        (26, 28, "0100", 1),
+    ]
+    assert survivor._best(ctx, parts) == (42, 43, "0110", 4)
+    assert survivor._best(ctx, [(None, None, None, 0)]) == (None, None, None, 0)
     # round-robin shards report out of word order; the smaller word still wins a tie
     for order in permutations(parts):
-        assert survivor._best(ctx, order) == (high, "b", 4)
+        assert survivor._best(ctx, order) == (42, 43, "0110", 4)
+
+
+@pytest.mark.parametrize(
+    "parts, expected",
+    [
+        # overlapping, equal exact values: a tie, whichever bracket is higher
+        ([(41, 43, "1000", 3), (40, 45, "0110", 1)], (41, 43, "0110", 4)),
+        # touching at one end, equal exact values: still a tie, not a win or a loss
+        ([(41, 42, "1000", 3), (42, 44, "0110", 1)], (42, 42, "0110", 4)),
+        # overlapping, different exact values: the larger wins with its own bracket,
+        # though the other's bracket reaches higher or starts higher
+        ([(20, 50, "0110", 1), (26, 60, "0100", 2)], (20, 50, "0110", 1)),
+        ([(20, 50, "0110", 1), (30, 45, "0100", 2)], (20, 50, "0110", 1)),
+        # touching, different exact values
+        ([(20, 30, "0100", 2), (30, 50, "0110", 1)], (30, 50, "0110", 1)),
+        # disjoint: the bounds decide, whatever the words
+        ([(20, 30, "1000", 2), (31, 50, "0001", 1)], (31, 50, "0001", 1)),
+    ],
+)
+def test_best_fold_settles_overlapping_brackets_exactly(parts, expected):
+    ctx = make_context("golden")
+    for order in permutations(parts):
+        assert survivor._best(ctx, order) == expected
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -145,6 +174,65 @@ class InProcessPool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+def spy_pools(monkeypatch, cores):
+    """Run every pool in-process as InProcessPool on a machine of the given core count."""
+    monkeypatch.setattr(survivor, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(InProcessPool, "created", [])
+    return InProcessPool.created
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
+    # sound brackets too wide to decide anything: every certificate and every
+    # fold step takes the exact route, in every shard and in the merge
+    ctx = make_context(kind)
+    ps = range(1, 15)
+    base = list(survivor._brute_records(ctx, ps, 1, False, 10))
+    real = BetaContext.rotation_bounds
+    slack = 1 << 200
+
+    def wide(self, rots, k):
+        lows, top = real(self, rots, k)
+        return [low - slack for low in lows], top + slack
+
+    monkeypatch.setattr(BetaContext, "rotation_bounds", wide)
+    spy_pools(monkeypatch, 7)
+    for shards in (1, 2, 3, 7):
+        assert list(survivor._brute_records(ctx, ps, shards, False, 10)) == base, shards
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
+    # a fold that silently went back to exact numerators would only slow the scan down
+    calls = {"int_horner": 0, "int_compare": 0}
+
+    def spy(name):
+        real = getattr(BetaContext, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(BetaContext, name, counted)
+
+    for name in calls:
+        spy(name)
+    *_, word, ties = survivor._scan_shard(kind.value, 14, 0, 1)
+    assert word == theorem_word(kind, 14) and ties == 1
+    assert calls["int_compare"] == 0 and calls["int_horner"] <= 1, calls
+
+
+@pytest.mark.parametrize("p, workers", [(8, 2.0), (8, 1.0), (8.0, 1), (8.0, 2), (8, "2")])
+def test_non_integer_period_or_workers_fail_before_any_work(monkeypatch, p, workers):
+    pools = spy_pools(monkeypatch, 2)
+    shards = []
+    monkeypatch.setattr(survivor, "_scan_shard", lambda *args: shards.append(args))
+    with pytest.raises(TypeError):
+        brute_force_S(make_context("golden"), p, workers=workers)
+    assert pools == [] and shards == []
 
 
 class TestWorkerClamp:
