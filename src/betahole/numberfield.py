@@ -133,10 +133,8 @@ class BetaContext:
         """
         lo, hi = self._pow_brackets
         p = len(rots[0])
-        while len(lo) < p:
-            a, b = self.bracket(self.int_beta_pow(len(lo)), 64)
-            lo.append(a)
-            hi.append(b)
+        if len(lo) < p:
+            self.pow_brackets(p)
         if self.degree == 1:  # exact brackets: the sum is the number itself
             def total(r, _):
                 return int(r, 2)
@@ -147,6 +145,15 @@ class BetaContext:
         z = p - len(rots[k].lstrip("0"))
         zeros = rots[k][:z]
         return [total(r, lo) if r.startswith(zeros) else lo[p - z] for r in rots], top
+
+    def pow_brackets(self, n: int) -> tuple[list[int], list[int]]:
+        """Lists lo, hi of at least n entries, lo[m] <= beta**m * 2**(64*(degree-1)) <= hi[m]."""
+        lo, hi = self._pow_brackets
+        while len(lo) < n:
+            a, b = self.bracket(self.int_beta_pow(len(lo)), 64)
+            lo.append(a)
+            hi.append(b)
+        return lo, hi
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
         cache = self._int_powers

@@ -12,21 +12,20 @@ for tribonacci).  The words of golden p = 1, 2, 4, 6 and tribonacci p = 1, 3, 4,
 are listed apart, and there is no closed form at golden p = 2 and tribonacci
 p = 1, 3, 4, 6.  Within each class the critical values increase to 1 - 1/beta.
 
-The exhaustive search with W workers stripes the delta(beta)-pruned Lyndon
-word stream round-robin into W shards: shard i takes words i, i + W, ...
-Each command opens at most one process pool (none when W = 1) and maps the
-W shards of every period through it; the shards' results are folded by one
-order-independent rule, so the output does not depend on W.
+The exhaustive search with W workers deals the subtrees of the
+delta(beta)-pruned Lyndon tree round-robin into W shards, and each shard walks
+only its own subtrees (words.primitive_representatives).  Each brute-force
+run opens at most one process pool (none when W = 1) and sends the W shards
+of all its periods through it in one map; the shards' results are folded by
+one order-independent rule, so the output does not depend on W.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import cycle, islice, repeat
 
 from .expansions import orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
@@ -103,18 +102,19 @@ def _best(ctx: BetaContext, candidates):
 
 
 def _scan_shard(kind_value: str, p: int, shard: int, shards: int):
-    """Best admissible class among words shard, shard + shards, ... of the
-    pruned enumeration; pure, fork-safe.
+    """Best admissible class among the words of one shard of the pruned
+    enumeration; pure, fork-safe.
 
     Returns the _best fold of (low, top, least rotation, 1) for every
     admitted word, with the bounds of orbit_min_bounds, so no exact
-    numerator is built unless two brackets overlap.  Striping the word stream
-    balances the shards: every Lyndon word of length >= 2 starts with 0, so a
-    split by value would leave all of them in the first shard.
+    numerator is built unless two brackets overlap.  The shard walks only the
+    small subtrees dealt to it round-robin, which balances the shards: every
+    Lyndon word of length >= 2 starts with 0, so a split by value would leave
+    all of them in the first shard.
     """
     ctx = make_context(kind_value)
     # pruning by delta(beta) drops only inadmissible words; orbit_min_bounds checks the rest
-    words = islice(primitive_representatives(p, below=ctx.delta.period), shard, None, shards)
+    words = primitive_representatives(p, ctx.delta.period, shard, shards)
     return _best(ctx, _candidates(ctx, words))
 
 
@@ -127,13 +127,31 @@ def _candidates(ctx: BetaContext, words):
             yield low, top, w[lex:] + w[:lex], 1
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures.ProcessPoolExecutor, imported only when a pool opens.
+
+    A module attribute, so a stand-in (a test's in-process pool) can replace it.
+    """
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the host's count where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):
     """Yield the brute-force SurvivorRecord of each period in ps, in order.
 
     Every period is checked against the caps before any word is enumerated.
-    The W = min(workers, cores) shards of each period run in one process
-    pool shared by all periods, or in this process when W = 1.  Only the
-    winner of each period gets an exact numerator here.
+    The W = min(workers, usable CPUs) shards of every period go through one
+    map of one process pool, or run in this process when W = 1; each
+    period's W results are folded as they arrive.  Only the winner of each
+    period gets an exact numerator here.
     """
     ps = [operator.index(p) for p in ps]
     workers = operator.index(workers)
@@ -149,19 +167,31 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
             )
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    # more processes than cores only add start-up cost; the result does not depend on it
-    workers = min(workers, os.cpu_count() or 1)
+    # more processes than CPUs only add start-up cost; the result does not depend on it
+    workers = min(workers, _usable_cpus())
     kind_value = ctx.kind.value
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    # build the bracket tables the shards read before a worker forks: the workers
+    # inherit them, so what each one computes does not depend on the jobs it gets
+    make_context(kind_value).pow_brackets(max(ps, default=1))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
         run = pool.map if pool else map
+        # one job per (period, shard), in period order, all in one map
+        periods = [p for p in ps for _ in range(workers)]
+        shards = cycle(range(workers))
+        results = run(_scan_shard, repeat(kind_value), periods, shards, repeat(workers))
         for p in ps:
-            parts = run(_scan_shard, repeat(kind_value), repeat(p), range(workers), repeat(workers))
-            _, _, word, ties = _best(ctx, parts)
+            _, _, word, ties = _best(ctx, islice(results, workers))
             if word is None:
                 yield SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
                 continue
             value = ctx.periodic_value(ctx.int_horner(word), p)
             yield SurvivorRecord(p, word, value, value.decimal(digits), BRUTE, False, ties)
+    finally:
+        if pool is not None:
+            # a caller that stops early (an error, or close()) waits only for the
+            # running jobs, not for the periods it will never read
+            pool.shutdown(cancel_futures=True)
 
 
 def brute_force_S(

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 # lexicographic comparison outcomes
 LT, EQ, GT = -1, 0, 1
@@ -176,7 +176,9 @@ def _exceed_automaton(below: str, n: int) -> tuple[list[int], list[bool]]:
     return zero_next, one_blocked
 
 
-def primitive_representatives(p: int, below: str | None = None) -> Iterator[str]:
+def primitive_representatives(
+    p: int, below: str | None = None, shard: int = 0, shards: int = 1
+) -> Iterator[str]:
     """Lexicographically least rotations of the primitive binary words of length p.
 
     Yields exactly one representative per cyclic class (the Lyndon words of
@@ -187,9 +189,23 @@ def primitive_representatives(p: int, below: str | None = None) -> Iterator[str]
     (below)^inf of the same length: the rotation starting at that factor
     already exceeds (below)^inf.  Output stays in the same order, so with
     below = delta(beta) every admissible class is still yielded.
+
+    With `shards` > 1 the walk numbers the prefixes of length d = p - 8 that
+    it reaches, in order, and enters only those whose number is shard mod
+    shards; it skips the others as it skips a pruned prefix.  Each such
+    subtree holds at most 2^8 words, and for p <= 8 shard 0 takes every word.
+    The outputs for shard = 0, 1, ..., shards - 1 partition the single-shard
+    stream, each in its order.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not 0 <= shard < shards:
+        raise ValueError("need 0 <= shard < shards")
+    # one shard numbers no subtree; at p <= 8 the whole tree is shard 0's
+    depth = p - 8 if shards > 1 else 0
+    if depth < 1 and shard:
+        return
+    rank = -1
     # an all-ones stream is exceeded by no word
     zero_next, one_blocked = _exceed_automaton(below or "1", p)
     # Duval / FKM: generates the binary Lyndon words of length <= p in
@@ -213,6 +229,11 @@ def primitive_representatives(p: int, below: str | None = None) -> Iterator[str]
                 else:
                     state.append(m + 1)
                 w.append(bit)
+            # an extension from n <= depth to depth or more enters a new subtree
+            # w[:depth]; the subtrees are dealt round-robin, another shard's is pruned
+            if n <= depth <= len(w) and (rank := rank + 1) % shards != shard:
+                del w[depth:]
+                del state[depth + 1 :]
         # next Lyndon word: drop trailing ones and turn the last zero into a
         # one.  If that prefix is pruned, so is every word up to the next
         # candidate, since all of them extend it: continue from the shorter prefix.

@@ -1,9 +1,10 @@
 import os
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, starmap
 
 import pytest
 
+import betahole.numberfield as numberfield
 import betahole.survivor as survivor
 from betahole.expansions import is_admissible
 from betahole.numberfield import BetaContext, BetaKind, eval_periodic, make_context
@@ -159,28 +160,34 @@ def test_round_robin_shards_partition_the_words(kind):
 
 
 class InProcessPool:
-    """Stand-in for ProcessPoolExecutor that records its size and starts no process."""
+    """Stand-in for ProcessPoolExecutor that records its size, its map calls and
+    its shutdowns and starts no process; jobs run lazily, as their results are read."""
 
     created: list[int] = []
+    maps: list[list[tuple]] = []  # the job argument tuples of each map call
+    shutdowns: list[bool] = []  # cancel_futures of each shutdown
 
     def __init__(self, max_workers):
         InProcessPool.created.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        jobs = list(zip(*iterables))
+        InProcessPool.maps.append(jobs)
+        return starmap(fn, jobs)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        InProcessPool.shutdowns.append(cancel_futures)
 
 
 def spy_pools(monkeypatch, cores):
-    """Run every pool in-process as InProcessPool on a machine of the given core count."""
+    """Run every pool in-process as InProcessPool on a machine whose process may
+    use the given number of CPUs (the host's count too)."""
     monkeypatch.setattr(survivor, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(InProcessPool, "created", [])
+    monkeypatch.setattr(InProcessPool, "maps", [])
+    monkeypatch.setattr(InProcessPool, "shutdowns", [])
     return InProcessPool.created
 
 
@@ -236,24 +243,78 @@ def test_non_integer_period_or_workers_fail_before_any_work(monkeypatch, p, work
 
 
 class TestWorkerClamp:
-    @pytest.mark.parametrize("cores,pool_size", [(2, [2]), (3, [3]), (None, [])])
+    @pytest.mark.parametrize("cores,pool_size", [(2, [2]), (3, [3])])
     def test_workers_are_clamped_to_the_core_count(self, monkeypatch, cores, pool_size):
         ctx = make_context("tribonacci")
         base = brute_force_S(ctx, 10)
-        monkeypatch.setattr(survivor, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(InProcessPool, "created", [])
+        pools = spy_pools(monkeypatch, cores)
         assert brute_force_S(ctx, 10, workers=5000) == base
-        assert InProcessPool.created == pool_size  # None cores: one worker, no pool
+        assert pools == pool_size
+
+    def test_workers_are_clamped_to_the_affinity_not_the_host(self, monkeypatch):
+        # as under `taskset -c 0` on an 8-CPU host: one usable CPU, so no pool opens
+        ctx = make_context("tribonacci")
+        base = brute_force_S(ctx, 10)
+        pools = spy_pools(monkeypatch, 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert brute_force_S(ctx, 10, workers=5000) == base
+        assert pools == []
+
+    @pytest.mark.parametrize("cores,pool_size", [(3, [3]), (None, [])])
+    def test_without_an_affinity_the_host_count_clamps(self, monkeypatch, cores, pool_size):
+        ctx = make_context("tribonacci")
+        base = brute_force_S(ctx, 10)
+        pools = spy_pools(monkeypatch, 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert brute_force_S(ctx, 10, workers=5000) == base
+        assert pools == pool_size  # None cores: one worker, no pool
 
 
 class TestOnePoolPerCommand:
     @pytest.fixture
     def pools(self, monkeypatch):
-        monkeypatch.setattr(survivor, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(InProcessPool, "created", [])
-        return InProcessPool.created
+        return spy_pools(monkeypatch, 2)
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_one_map_covers_every_period_and_shard_once(self, monkeypatch, workers):
+        ctx = make_context("golden")
+        ps = range(1, 13)
+        base = list(survivor._brute_records(ctx, ps, 1, False, 10))
+        spy_pools(monkeypatch, 8)
+        assert list(survivor._brute_records(ctx, ps, workers, False, 10)) == base
+        (jobs,) = InProcessPool.maps
+        assert sorted(jobs) == [("golden", p, i, workers) for p in ps for i in range(workers)]
+
+    def test_bracket_tables_are_built_before_any_job(self, monkeypatch):
+        # forked workers inherit them, so no worker builds its own for the jobs it gets
+        monkeypatch.setattr(numberfield, "_CONTEXTS", {})
+        spy_pools(monkeypatch, 2)
+        built = []
+        real = survivor._scan_shard
+
+        def scan(kind_value, *job):
+            built.append(len(make_context(kind_value)._pow_brackets[0]))
+            return real(kind_value, *job)
+
+        monkeypatch.setattr(survivor, "_scan_shard", scan)
+        list(survivor._brute_records(make_context("golden"), [3, 9, 5], 2, False, 10))
+        assert built == [9] * 6
+
+    def test_records_stream_and_a_run_stopped_early_cancels_the_rest(self, monkeypatch):
+        spy_pools(monkeypatch, 8)
+        scanned = []
+        real = survivor._scan_shard
+
+        def scan(*job):
+            scanned.append(job[1:3])
+            return real(*job)
+
+        monkeypatch.setattr(survivor, "_scan_shard", scan)
+        records = survivor._brute_records(make_context("2"), [5, 9, 7], 3, False, 10)
+        assert next(records).p == 5 and scanned == [(5, 0), (5, 1), (5, 2)]
+        records.close()
+        assert len(scanned) == 3 and InProcessPool.shutdowns == [True]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_cross_check_opens_one_pool_for_all_periods(self, pools, kind):
@@ -271,6 +332,18 @@ class TestOnePoolPerCommand:
         assert main(["verify", "--pmax", "8", "--workers", "2"]) == 0
         assert capsys.readouterr().out == base
         assert pools == [2, 2, 2]
+        assert len(InProcessPool.maps) == 3  # one map per kind
+
+    def test_verify_output_does_not_depend_on_the_workers(self, monkeypatch, capsys):
+        from betahole.cli import main
+
+        pools = spy_pools(monkeypatch, 8)
+        outs = []
+        for workers in (1, 2, 3, 7):
+            assert main(["verify", "--pmax", "10", "--workers", str(workers)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == [outs[0]] * 4
+        assert pools == [2] * 3 + [3] * 3 + [7] * 3
 
 
 class TestClosedForm:

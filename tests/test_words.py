@@ -196,6 +196,13 @@ class TestEnumeration:
             list(primitive_representatives(0))
 
 
+def brute_prenecklaces(n):
+    """The binary words of length n, in increasing order, that are prefixes of a
+    necklace: each suffix is at least the prefix of its length."""
+    words = (format(v, f"0{n}b") for v in range(1 << n))
+    return [u for u in words if all(u[i:] >= u[: n - i] for i in range(1, n))]
+
+
 def exceeds_naively(w, below):
     """Whether some factor of w is greater than the prefix of (below)^inf of its length."""
     stream = below * (len(w) // len(below) + 1)
@@ -251,3 +258,42 @@ class TestPrunedEnumeration:
             for kind in ("golden", "tribonacci")
         }
         assert yielded == {"golden": 2171, "tribonacci": 23034}
+
+
+class TestShardedEnumeration:
+    @pytest.mark.parametrize("below", [None, "1", "10", "110", "100", "10000", "11010"])
+    def test_shards_partition_the_stream(self, below):
+        for p in range(1, 19):
+            whole = list(primitive_representatives(p, below))
+            for shards in (1, 2, 3, 7):
+                parts = [list(primitive_representatives(p, below, i, shards))
+                         for i in range(shards)]
+                dealt = [w for part in parts for w in part]
+                assert len(set(dealt)) == len(dealt), (p, shards)  # disjoint
+                assert all(part == sorted(part) for part in parts), (p, shards)
+                assert sorted(dealt) == whole, (p, shards)
+            assert list(primitive_representatives(p, below, 0, 1)) == whole
+
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_each_shard_takes_the_subtrees_of_its_rank(self, shards):
+        # unpruned, the walk reaches every prenecklace of length d = p - 8 (the
+        # all-ones one last, and it roots no word); the k-th in increasing order
+        # roots the words of shard k mod shards
+        for p in range(10, 17):
+            d = p - 8
+            rank = {u: k for k, u in enumerate(brute_prenecklaces(d))}
+            for i in range(shards):
+                for w in primitive_representatives(p, None, i, shards):
+                    assert rank[w[:d]] % shards == i, (p, w)
+
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_subtrees_balance_the_shards(self, shards):
+        # a split by value would put every word in shard 0
+        sizes = [sum(1 for _ in primitive_representatives(18, None, i, shards))
+                 for i in range(shards)]
+        assert max(sizes) < 1.2 * min(sizes), sizes
+
+    @pytest.mark.parametrize("shard, shards", [(-1, 2), (2, 2), (0, 0)])
+    def test_rejects_a_shard_outside_the_deal(self, shard, shards):
+        with pytest.raises(ValueError):
+            list(primitive_representatives(5, None, shard, shards))
