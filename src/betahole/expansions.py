@@ -123,7 +123,10 @@ def _exceeds_delta(w: str, dper: str) -> bool:
     """Whether some rotation r of w has r^inf >= (dper)^inf (see _delta_window)."""
     _, _, copies, factors = _delta_window(len(w), dper)
     ww = w * copies
-    return any(f in ww for f in factors)
+    for f in factors:
+        if f in ww:
+            return True
+    return False
 
 
 def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
@@ -165,37 +168,45 @@ def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int, int] | None:
     bounds low <= V <= top on that rotation (V as in BetaContext.rotation_bounds).
 
     None when w is inadmissible (_exceeds_delta).  Only the rotations starting
-    with the longest cyclic zero run of w can be least.  One certificate for
-    two routes: the lexicographically least of them must have a strictly
-    smaller exact value than every other rotation, or this raises.  Integer
-    bounds (BetaContext.rotation_bounds) on those candidates settle it first;
-    one rotation with fewer leading zeros stands for all such rotations, as
-    they share its lower bound.  Only when a bound cannot decide are the exact
-    numerators of all rotations compared.  The least rotation's own bounds are
-    returned, so a caller can rank words without their exact values.  w must
-    be primitive (a shorter period ties rotations).
+    with the longest cyclic zero run of w, z symbols long, can be least.  One
+    certificate for two routes: the lexicographically least of them must have
+    a strictly smaller exact value than every other rotation, or this raises.
+    One BetaContext.rotation_bounds call settles it first: integer bounds on
+    those candidates, and one lower bound for every rotation with fewer
+    leading zeros, which is a bound and not a built rotation.  Only when a
+    bound cannot decide are the exact numerators of all rotations compared.
+    The least rotation's own bounds are returned, so a caller can rank words
+    without their exact values.  w must be primitive (a shorter period ties
+    rotations).
     """
     p = len(check_word(w))
     if _exceeds_delta(w, ctx.delta.period):
         return None
     ww = w + w
-    zeros = ""  # grows to the longest cyclic zero run
-    while len(zeros) < p and zeros + "0" in ww:
+    # the longest cyclic zero run, grown from the leading one: a Lyndon word
+    # starts with it, so the scan's words take one search
+    zeros = "0" * (p - len(w.lstrip("0")))
+    while zeros + "0" in ww and len(zeros) < p:
         zeros += "0"
-    starts = []
-    k = ww.find(zeros)
-    while 0 <= k < p:
-        starts.append(k)
-        k = ww.find(zeros, k + 1)
-    rots = [ww[k : k + p] for k in starts]
-    i = rots.index(min(rots))
-    lex = starts[i]
-    if len(starts) < p:  # one stand-in for the rotations with fewer leading zeros
-        k = w.index("1")
-        rots.append(ww[k : k + p])
-    lows, top = ctx.rotation_bounds(rots, i)
-    low = lows.pop(i)
-    if min(lows, default=top + 1) <= top:
+    z = len(zeros)
+    lex = ww.find(zeros)
+    k = ww.find(zeros, lex + 1)
+    if not 0 <= k < p:  # one candidate
+        lows, top, lead = ctx.rotation_bounds([ww[lex : lex + p]], 0, z)
+        low = lows[0]
+        undecided = lead <= top
+    else:
+        starts = [lex]
+        while 0 <= k < p:
+            starts.append(k)
+            k = ww.find(zeros, k + 1)
+        rots = [ww[k : k + p] for k in starts]
+        i = rots.index(min(rots))
+        lex = starts[i]
+        lows, top, lead = ctx.rotation_bounds(rots, i, z)
+        low = lows.pop(i)
+        undecided = lead <= top or min(lows) <= top
+    if undecided:
         nums = rotation_numerators(w, ctx)
         for k, n in enumerate(nums):
             if k != lex and ctx.int_compare(n, nums[lex]) <= 0:

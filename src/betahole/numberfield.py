@@ -121,30 +121,31 @@ class BetaContext:
         ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
-    def rotation_bounds(self, rots: list[str], k: int) -> tuple[list[int], int]:
-        """Integers lows[j] <= V(rots[j]) for every j, and top >= V(rots[k]).
+    def rotation_bounds(self, rots: list[str], k: int, z: int) -> tuple[list[int], int, int]:
+        """Integers lows[j] <= V(rots[j]) for every j, top >= V(rots[k]), and
+        lead <= V(r) for every word r of length p = len(rots[0]) with a 1 among
+        its first z symbols, for 1 <= z <= p.
 
         V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
         value is a 0/1 sum of powers of beta, so summing each power's bracket
-        bounds it whatever the coefficient signs; base 2 is exact.  If rots[k]
-        starts with z zeros, a rotation with fewer has a 1 at an index a < z, so
-        its value is at least beta**(p-z): every such rotation gets that one
-        bracket, and only those starting with z zeros are summed.
+        bounds it whatever the coefficient signs; base 2 is exact.  A word with
+        a 1 at an index a < z is at least beta**(p-1-a) >= beta**(p-z), so lead
+        is that one bracket, and no such word is built or summed: a caller that
+        passes the rotations starting with a zero run of length z gets, in
+        lead, one bound for all the other rotations.
         """
         lo, hi = self._pow_brackets
         p = len(rots[0])
+        if not 0 < z <= p:  # lo[p - z] would be another power's bracket, or none
+            raise ValueError(f"need 1 <= z <= {p}, got {z}")
         if len(lo) < p:
             self.pow_brackets(p)
         if self.degree == 1:  # exact brackets: the sum is the number itself
-            def total(r, _):
-                return int(r, 2)
-        else:
-            def total(r, b):
-                return sum(compress(b, r[::-1].encode().translate(_BITS)))
-        top = total(rots[k], hi)
-        z = p - len(rots[k].lstrip("0"))
-        zeros = rots[k][:z]
-        return [total(r, lo) if r.startswith(zeros) else lo[p - z] for r in rots], top
+            lows = [int(r, 2) for r in rots]
+            return lows, lows[k], lo[p - z]
+        lows = [sum(compress(lo, r[::-1].encode().translate(_BITS))) for r in rots]
+        top = sum(compress(hi, rots[k][::-1].encode().translate(_BITS)))
+        return lows, top, lo[p - z]
 
     def pow_brackets(self, n: int) -> tuple[list[int], list[int]]:
         """Lists lo, hi of at least n entries, lo[m] <= beta**m * 2**(64*(degree-1)) <= hi[m]."""

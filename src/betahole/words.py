@@ -9,6 +9,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -196,9 +197,19 @@ def primitive_representatives(
     subtree holds at most 2^8 words, and for p <= 8 shard 0 takes every word.
     The outputs for shard = 0, 1, ..., shards - 1 partition the single-shard
     stream, each in its order.
+
+    p must be an int (not a bool) >= 1, `below`, when given, a nonempty
+    binary word, and shard and shards ints; the first next() raises
+    otherwise, before the walk starts.
     """
+    if isinstance(p, bool):
+        raise TypeError("p must be an int, not bool")
+    p = operator.index(p)
     if p < 1:
         raise ValueError("p must be >= 1")
+    if below is not None:
+        check_word(below)
+    shard, shards = operator.index(shard), operator.index(shards)
     if not 0 <= shard < shards:
         raise ValueError("need 0 <= shard < shards")
     # one shard numbers no subtree; at p <= 8 the whole tree is shard 0's
@@ -207,7 +218,7 @@ def primitive_representatives(
         return
     rank = -1
     # an all-ones stream is exceeded by no word
-    zero_next, one_blocked = _exceed_automaton(below or "1", p)
+    zero_next, one_blocked = _exceed_automaton("1" if below is None else below, p)
     # Duval / FKM: generates the binary Lyndon words of length <= p in
     # lexicographic order; those of length exactly p are the representatives.
     # w holds ASCII digits; state[i] is the automaton state after w[:i].

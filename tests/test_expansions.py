@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from betahole.expansions import (
     greedy_digits,
     is_admissible,
     orbit_min,
+    orbit_min_bounds,
     orbit_min_numerator,
     quasi_greedy_digits,
     rotation_numerators,
@@ -38,8 +40,39 @@ ALL_KINDS = list(BetaKind)
 
 
 def undecided_bounds(monkeypatch):
-    """Make BetaContext.rotation_bounds decide nothing, so every word takes the exact route."""
-    monkeypatch.setattr(BetaContext, "rotation_bounds", lambda self, rots, k: ([0] * len(rots), 0))
+    """Lower every bound of BetaContext.rotation_bounds but the lex-min candidate's
+    own to at most its top: still sound, but no bound decides, so every word takes
+    the exact route, and the lex-min candidate's bracket is unchanged."""
+    real = BetaContext.rotation_bounds
+
+    def undecided(self, rots, k, z):
+        lows, top, lead = real(self, rots, k, z)
+        low = lows[k]
+        lows = [min(x, top) for x in lows]
+        lows[k] = low
+        return lows, top, min(lead, top)
+
+    monkeypatch.setattr(BetaContext, "rotation_bounds", undecided)
+
+
+def zero_run_candidates(w):
+    """(z, the rotations of w that start with z zeros, in offset order), for z the
+    length of the longest cyclic zero run of w."""
+    p = len(w)
+    rots = [(w + w)[k : k + p] for k in range(p)]
+    z = max(len(r) - len(r.lstrip("0")) for r in rots)
+    return z, [r for r in rots if r.startswith("0" * z)]
+
+
+def orbit_min_oracle(w, ctx):
+    """(offset, low, top) of min(rotations(w)), with low and top summed from the
+    brackets of pow_brackets: what orbit_min_bounds must return."""
+    rots = rotations(w)
+    least = min(rots)
+    p = len(w)
+    lo, hi = ctx.pow_brackets(p)
+    ones = [p - 1 - i for i, c in enumerate(least) if c == "1"]
+    return rots.index(least), sum(lo[m] for m in ones), sum(hi[m] for m in ones)
 
 
 @pytest.fixture
@@ -362,18 +395,27 @@ class TestOrbitMin:
         assert orbit_min_numerator(w, ctx) == (rotations(w).index(least), ctx.int_horner(least))
         assert numerator_calls == ([w] if exact else [])
 
-    @pytest.mark.parametrize("step", [-1, 1])
-    @pytest.mark.parametrize("kind, w", [("golden", "100"), ("tribonacci", "1100")])
+    @pytest.mark.parametrize("step", [-1, 1, None])
+    @pytest.mark.parametrize(
+        "kind, w",
+        # one candidate each, then the lex-min one as the 2nd of 2 and the 3rd of 3
+        [("golden", "100"), ("tribonacci", "1100"), ("golden", "00101001"), ("2", "0101101")],
+    )
     def test_one_undecided_rotation_takes_the_exact_route(
         self, monkeypatch, numerator_calls, kind, w, step
     ):
-        # the rotation just before or after the lex-min one is not cleared by its bound
+        # the candidate just before or after the lex-min one is not cleared by its
+        # bound; with no other candidate, or with step None, the bound of the
+        # rotations with fewer leading zeros is not
         real = BetaContext.rotation_bounds
 
-        def one_undecided(self, rots, k):
-            lows, top = real(self, rots, k)
-            lows[(k + step) % len(rots)] = top
-            return lows, top
+        def one_undecided(self, rots, k, z):
+            lows, top, lead = real(self, rots, k, z)
+            j = k if step is None else (k + step) % len(rots)
+            if j == k:
+                return lows, top, top
+            lows[j] = top
+            return lows, top, lead
 
         monkeypatch.setattr(BetaContext, "rotation_bounds", one_undecided)
         ctx = make_context(kind)
@@ -411,9 +453,9 @@ class TestOrbitMin:
         real = BetaContext.rotation_bounds
         bounded = []
 
-        def spy(self, rots, k):
-            bounded.append(len(rots))
-            return real(self, rots, k)
+        def spy(self, rots, k, z):
+            bounded.append((rots, k, z))
+            return real(self, rots, k, z)
 
         def no_rotations(w):
             raise AssertionError(f"rotations({w!r}) called")
@@ -426,9 +468,8 @@ class TestOrbitMin:
                 bounded.clear()
                 if orbit_min_numerator(w, ctx) is None:
                     continue
-                zeros = "0" * min(p, max(map(len, (w + w).split("1"))))
-                candidates = sum((w + w)[k:].startswith(zeros) for k in range(p))
-                assert len(bounded) == 1 and bounded[0] <= candidates + 1, (w, bounded)
+                z, candidates = zero_run_candidates(w)
+                assert bounded == [(candidates, candidates.index(min(candidates)), z)], w
 
     @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
     def test_bounds_decide_every_enumerated_word_up_to_p20(self, numerator_calls, kind):
@@ -439,6 +480,33 @@ class TestOrbitMin:
             for w in primitive_representatives(p, below=ctx.delta.period):
                 n += orbit_min_numerator(w, ctx) is not None
         assert n > 0 and numerator_calls == []
+
+    @pytest.mark.parametrize("route", ["bounds", "exact"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_primitive_admissible_word_up_to_length_12_matches_the_oracle(
+        self, monkeypatch, numerator_calls, kind, route
+    ):
+        # Lyndon or not, so the offset is not always 0; the exact route is forced
+        # by sound bounds that decide nothing, and must agree with the bounds route
+        ctx = make_context(kind)
+        if route == "exact":
+            undecided_bounds(monkeypatch)
+        words = [
+            w
+            for w in all_words(12)
+            if smallest_period(w) == len(w) and is_admissible(w, ctx).admissible
+        ]
+        shapes = Counter()
+        for w in words:
+            assert orbit_min_bounds(w, ctx) == orbit_min_oracle(w, ctx), w
+            z, candidates = zero_run_candidates(w)
+            shapes[min(len(candidates), 3)] += 1
+            shapes["offset > 0"] += min(candidates) != w
+            shapes["z = p"] += z == len(w)
+        # "0" alone has z = p; 1, 2 and 3 or more candidates all occur
+        assert shapes["z = p"] == 1 and "0" in words
+        assert shapes[1] and shapes[2] and shapes[3] and shapes["offset > 0"], shapes
+        assert numerator_calls == (words if route == "exact" else [])
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:

@@ -437,28 +437,54 @@ class TestEval:
         assert a == b
 
 
+def lead_zeros(r):
+    """The z that rotation_bounds takes with rots[k] = r: its leading zeros, at least 1."""
+    return max(1, len(r) - len(r.lstrip("0")))
+
+
 def assert_rotation_bounds_sound(ctx, w):
-    """lows[j] <= V(rotation j) <= top for every j, with k = j, checked exactly."""
+    """lows[j] <= V(rotation j) <= top for every j, with k = j, and lead <= V of
+    every rotation with a 1 among its first z symbols, checked exactly."""
     rots = rotations(w)
     shift = 64 * (ctx.degree - 1)
-    for j, r in enumerate(rots):
-        lows, top = ctx.rotation_bounds(rots, j)
-        v = [c << shift for c in ctx.int_horner(r)]  # V(r) as integer coefficients
+    values = [[c << shift for c in ctx.int_horner(r)] for r in rots]  # V(r) as coefficients
+    for j, v in enumerate(values):
+        z = lead_zeros(rots[j])
+        lows, top, lead = ctx.rotation_bounds(rots, j, z)
         assert ctx.int_sign((v[0] - lows[j], *v[1:])) >= 0, (w, j)
         assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, j)
+        for r, u in zip(rots, values):
+            if "1" in r[:z]:
+                assert ctx.int_sign((u[0] - lead, *u[1:])) >= 0, (w, j, r)
         if ctx.degree == 1:  # the brackets are exact
             assert lows[j] == top == int(rots[j], 2)
 
 
 def assert_every_lower_bound_sound(ctx, w):
-    """lows[j] <= V(rotation j) for every j, whichever rotation k the bounds are taken for.
+    """lows[j] <= V(rotation j) for every j, and lead <= V(rotation j) whenever it
+    has a 1 among the first z symbols, whichever rotation k and z the bounds are
+    taken for.
 
-    The largest lower bound of rotation j over all k is checked exactly, so a
-    lower bound that depends on rotation k is covered too.
+    The largest lower bound of rotation j is checked exactly, so a lower bound
+    that depends on rotation k or on z is covered too.  The bounds are taken
+    for every k with z its leading zeros, as orbit_min_bounds does, and lead
+    for every z in 1..p.
     """
     rots = rotations(w)
+    p = len(w)
     shift = 64 * (ctx.degree - 1)
-    highest = [max(col) for col in zip(*(ctx.rotation_bounds(rots, k)[0] for k in range(len(rots))))]
+    leads = {}
+    highest = [0] * p
+    for k, r in enumerate(rots):
+        z = lead_zeros(r)
+        lows, _, leads[k, z] = ctx.rotation_bounds(rots, k, z)
+        highest = list(map(max, highest, lows))
+    for z in range(1, p + 1):
+        leads[0, z] = ctx.rotation_bounds(rots, 0, z)[2]
+    for (_, z), lead in leads.items():
+        for j, r in enumerate(rots):
+            if "1" in r[:z]:
+                highest[j] = max(highest[j], lead)
     for j, r in enumerate(rots):
         v = [c << shift for c in ctx.int_horner(r)]
         assert ctx.int_sign((v[0] - highest[j], *v[1:])) >= 0, (w, j)
@@ -492,18 +518,27 @@ class TestRotationBounds:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rotations_without_the_leading_zeros_share_the_lead_bound(self, kind):
         # unconditionally, even where the bound does not clear top: a caller may
-        # pass one such rotation to stand for all of them
+        # pass only the rotations that start with z zeros and take lead for the
+        # others, which are not summed even when they are passed
         ctx = make_context(kind)
         for n in range(1, 11):
+            lo = ctx.pow_brackets(n)[0]
             for v in range(1 << n):
                 rots = rotations(format(v, f"0{n}b"))
                 for k, r in enumerate(rots):
-                    lows, _ = ctx.rotation_bounds(rots, k)
-                    z = n - len(r.lstrip("0"))
-                    lo = ctx._pow_brackets[0]
+                    z = lead_zeros(r)
+                    lows, _, lead = ctx.rotation_bounds(rots, k, z)
+                    assert lead == lo[n - z], (rots, k)
                     for j, x in enumerate(rots):
-                        if not x.startswith(r[:z]):
-                            assert lows[j] == lo[n - z], (rots, k, j)
+                        # the full sum of lower brackets
+                        assert lows[j] == sum(lo[n - 1 - i] for i, c in enumerate(x) if c == "1")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("z", [0, -1, 5, 40])
+    def test_rejects_a_zero_run_outside_the_word(self, kind, z):
+        # past p, lo[p - z] indexes from the end: a bracket far above the words' values
+        with pytest.raises(ValueError, match="1 <= z <= 4"):
+            make_context(kind).rotation_bounds(["0011"], 0, z)
 
     @pytest.mark.parametrize(
         "kind, w, z",
@@ -512,17 +547,17 @@ class TestRotationBounds:
     )
     def test_rotations_with_fewer_leading_zeros_take_the_lead_power_bound(self, kind, w, z):
         # w starts with z zeros; every rotation with fewer is at least beta**(p-z),
-        # and that one bracket is its lower bound
+        # and that one bracket is their lower bound, above the least rotation's top
         ctx = make_context(kind)
         rots, p = rotations(w), len(w)
-        lows, top = ctx.rotation_bounds(rots, 0)
+        candidates = [r for r in rots if r.startswith("0" * z)]
+        lows, top, lead = ctx.rotation_bounds(candidates, 0, z)
         lo = ctx._pow_brackets[0]
-        assert min(rots) == w and lo[p - z] > top
-        shortcut = [j for j, r in enumerate(rots) if not r.startswith("0" * z)]
-        assert len(shortcut) > p // 2
-        for j, r in enumerate(rots):
-            if j in shortcut:
-                assert lows[j] == lo[p - z]
-            else:  # the full sum of lower brackets
-                assert lows[j] == sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
+        assert min(rots) == w == candidates[0] and lead == lo[p - z] > top
+        assert len(candidates) < p // 2
+        for low, r in zip(lows, candidates):  # the full sum of lower brackets
+            assert low == sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
+        for r in rots:
+            if r not in candidates:
+                assert lead <= sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
         assert_rotation_bounds_sound(ctx, w)

@@ -201,9 +201,9 @@ def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
     real = BetaContext.rotation_bounds
     slack = 1 << 200
 
-    def wide(self, rots, k):
-        lows, top = real(self, rots, k)
-        return [low - slack for low in lows], top + slack
+    def wide(self, rots, k, z):
+        lows, top, lead = real(self, rots, k, z)
+        return [low - slack for low in lows], top + slack, lead - slack
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", wide)
     spy_pools(monkeypatch, 7)

@@ -195,6 +195,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(primitive_representatives(0))
 
+    @pytest.mark.parametrize("p", [True, False, 4.0, "4", None])
+    def test_rejects_a_period_that_is_not_an_int(self, p):
+        # True once gave the two words of length 1, and 4.0 failed deep in the walk
+        with pytest.raises(TypeError):
+            next(primitive_representatives(p))
+
+    @pytest.mark.parametrize("below", ["", "2", "abc", "10 ", "1x0"])
+    def test_rejects_a_bound_that_is_not_a_binary_word(self, below):
+        # "2" and "abc" once pruned nothing, as if no bound were given
+        with pytest.raises(ValueError, match="binary word"):
+            next(primitive_representatives(4, below))
+
 
 def brute_prenecklaces(n):
     """The binary words of length n, in increasing order, that are prefixes of a
@@ -297,3 +309,9 @@ class TestShardedEnumeration:
     def test_rejects_a_shard_outside_the_deal(self, shard, shards):
         with pytest.raises(ValueError):
             list(primitive_representatives(5, None, shard, shards))
+
+    @pytest.mark.parametrize("shard, shards", [(0.5, 2), (0, 2.0), (1.0, 2)])
+    def test_rejects_a_shard_that_is_not_an_int(self, shard, shards):
+        # shard 0.5 of 2 once yielded nothing, and shards = 2.0 dealt as 2
+        with pytest.raises(TypeError):
+            next(primitive_representatives(12, None, shard, shards))
