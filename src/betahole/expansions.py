@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,12 +83,11 @@ def quasi_greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> "PeriodicS
     return "".join(digits)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    word: str
-    admissible: bool
-    failing_rotation_offset: int | None = None
-    failing_comparison: tuple[str, str] | None = None
+class AdmissibilityReport(namedtuple(
+    "AdmissibilityReport", "word admissible failing_rotation_offset failing_comparison",
+    defaults=(None, None),
+)):
+    __slots__ = ()
 
     def render(self) -> str:
         if self.admissible:

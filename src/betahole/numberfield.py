@@ -4,12 +4,14 @@ An element is stored as integer numerators of 1, beta, beta^2, ... over one
 positive integer denominator, reduced modulo the (irreducible, monic)
 minimal polynomial and divided by the gcd of all of them, so equality is
 literal equality of the integers.  One integer kernel does all the work:
-multiplication by beta, powers of beta, and products and inverses through the
-integer matrix of multiplication by an element.  Signs and decimals use no
-floating point: the numerators are bracketed with a dyadic isolating interval
-for the root, refined by bisection until the sign is definite or both ends
-round, by integer division, to the same decimal.  Base 2 is carried as a
-degree-1 field so every kind runs through the same code path.
+multiplication by beta, powers of beta, and products through the integer
+matrix of multiplication by an element.  A quotient a/b, and so an inverse, a
+negative power of beta and num/(beta^p - 1), is one cofactor solve: a's
+matrix times the first-row cofactors of b's, normalized by one gcd.  Signs and
+decimals use no floating point: the numerators are bracketed with a dyadic
+isolating interval for the root, refined by bisection until the sign is
+definite or both ends round, by integer division, to the same decimal.  Base
+2 is carried as a degree-1 field so every kind runs through the same code path.
 """
 
 from __future__ import annotations
@@ -97,12 +99,15 @@ class BetaContext:
     def beta_pow(self, k: int) -> "FieldElement":
         """beta**k; k < 0 gives the inverse of beta**-k."""
         if k < 0:
-            return self.one() / self.beta_pow(-k)
+            return _quotient(self, self.int_beta_pow(0), 1, self.int_beta_pow(-k), 1)
         return FieldElement.from_int_coeffs(self, self.int_beta_pow(k))
 
     def periodic_value(self, num: tuple[int, ...], p: int) -> "FieldElement":
         """num / (beta**p - 1): the value of a period-p expansion with numerator num."""
-        return FieldElement.from_int_coeffs(self, num) / (self.beta_pow(p) - 1)
+        if p < 1:
+            raise ValueError(f"a period must be >= 1, got {p}")
+        c0, *rest = self.int_beta_pow(p)
+        return _quotient(self, num, 1, (c0 - 1, *rest), 1)
 
     # -- integer-coefficient kernels (used by the enumeration hot path) --
 
@@ -157,6 +162,11 @@ class BetaContext:
         return lo, hi
 
     def int_beta_pow(self, k: int) -> tuple[int, ...]:
+        """beta**k as integer coefficients, for an int k >= 0."""
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"a power must be an int, not {type(k).__name__}")
+        if k < 0:
+            raise ValueError(f"a power must be >= 0, got {k}")
         cache = self._int_powers
         while len(cache) <= k:
             cache.append(self.int_mul_beta(cache[-1]))
@@ -245,12 +255,40 @@ def make_context(kind: "BetaKind | str") -> BetaContext:
 
 def _cofactors(rows: list[tuple[int, ...]]) -> list[int]:
     """First-row cofactors of a square integer matrix, by Laplace expansion."""
-    minors = ([r[:k] + r[k + 1 :] for r in rows[1:]] for k in range(len(rows)))
-    return [(-1) ** k * _det(m) for k, m in enumerate(minors)]
+    tail = rows[1:]
+    return [(-1) ** k * _det([r[:k] + r[k + 1 :] for r in tail]) for k in range(len(rows))]
 
 
 def _det(rows: list[tuple[int, ...]]) -> int:
-    return sum(map(operator.mul, rows[0], _cofactors(rows))) if rows else 1
+    """Determinant of a square integer matrix: closed forms up to 2x2, Laplace above."""
+    if len(rows) > 2:
+        return sum(map(operator.mul, rows[0], _cofactors(rows)))
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return rows[0][0] if rows else 1
+
+
+def _matrix(ctx: BetaContext, nums: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Rows of the integer matrix of multiplication by nums; column k is nums * beta**k."""
+    cols = [nums]
+    for _ in range(1, ctx.degree):
+        cols.append(ctx.int_mul_beta(cols[-1]))
+    return list(zip(*cols))
+
+
+def _quotient(ctx: BetaContext, a, da: int, b, db: int) -> "FieldElement":
+    """(a/da) / (b/db) for integer numerators a, b and denominators da, db > 0: Cramer's
+    rule gives 1/b as b's first-row cofactors over its norm, and one gcd normalizes."""
+    if not any(b):
+        raise ZeroDivisionError("division by zero in Q(beta)")
+    rows = _matrix(ctx, b)
+    cof = _cofactors(rows)  # the right-hand side 1 has its only nonzero entry first
+    det = sum(map(operator.mul, rows[0], cof))  # nonzero: the minpoly is irreducible
+    if det < 0:
+        det, db = -det, -db
+    nums = [db * sum(map(operator.mul, row, cof)) for row in _matrix(ctx, a)]
+    return FieldElement.from_int_coeffs(ctx, nums, da * det)
 
 
 class FieldElement:
@@ -284,7 +322,7 @@ class FieldElement:
             raise ValueError("coefficient count must equal the field degree")
         g = math.gcd(den, *ints)
         self.ctx = ctx
-        self.nums = tuple(c // g for c in ints)
+        self.nums = tuple(c // g for c in ints) if g > 1 else tuple(ints)
         self.den = den // g
 
     @property
@@ -329,44 +367,30 @@ class FieldElement:
             return NotImplemented
         return o - self
 
-    def _matrix(self) -> list[tuple[int, ...]]:
-        """Rows of the integer matrix of multiplication by nums; column k is nums * beta**k."""
-        cols = [self.nums]
-        for _ in range(1, self.ctx.degree):
-            cols.append(self.ctx.int_mul_beta(cols[-1]))
-        return list(zip(*cols))
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        nums = tuple(sum(map(operator.mul, row, o.nums)) for row in self._matrix())
+        nums = [sum(map(operator.mul, row, o.nums)) for row in _matrix(self.ctx, self.nums)]
         return FieldElement.from_int_coeffs(self.ctx, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Solve (multiplication matrix) * y = 1 by Cramer's rule; x^-1 = den * y."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(beta)")
-        rows = self._matrix()
-        cof = _cofactors(rows)  # the right-hand side 1 has its only nonzero entry first
-        det = sum(map(operator.mul, rows[0], cof))  # the norm of nums, nonzero
-        if det < 0:
-            det, cof = -det, [-c for c in cof]
-        return FieldElement.from_int_coeffs(self.ctx, tuple(self.den * c for c in cof), det)
+        """1 / self, by the one quotient kernel."""
+        return _quotient(self.ctx, self.ctx.int_beta_pow(0), 1, self.nums, self.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self.ctx, self.nums, self.den, o.nums, o.den)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(self.ctx, o.nums, o.den, self.nums, self.den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -427,6 +451,8 @@ class FieldElement:
         if not 1 <= digits <= MAX_DIGITS:
             raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
         s = 64
+        while s < digits * 10 // 3 + 16:  # log2(10) < 10/3 bits per digit, plus a guard
+            s *= 2
         while s <= _MAX_SCALE_BITS:
             lo, hi = self.ctx.bracket(self.nums, s)
             den = self.den << s * (self.ctx.degree - 1)

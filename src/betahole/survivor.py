@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import cycle, islice, repeat
 
 from .expansions import orbit_min_bounds
@@ -40,17 +40,10 @@ HARD_P_CAP = 26
 MAX_P = 10_000
 
 
-@dataclass(frozen=True)
-class SurvivorRecord:
+class SurvivorRecord(namedtuple("SurvivorRecord", "p word value value_float method empty ties")):
     """One row of the critical-value table for a single period p."""
 
-    p: int
-    word: str | None
-    value: FieldElement
-    value_float: str
-    method: str
-    empty: bool
-    ties: int
+    __slots__ = ()
 
     def describe(self, kind: BetaKind) -> str:
         if self.empty and self.word is None:
@@ -314,23 +307,13 @@ def limit_value(kind: "BetaKind | str") -> FieldElement:
     return 1 - 1 / make_context(kind).beta()
 
 
-@dataclass(frozen=True)
-class CrossCheckRow:
-    p: int
-    method: str
-    word: str
-    exact: str
-    value_float: str
-    agrees: bool
+CrossCheckRow = namedtuple("CrossCheckRow", "p method word exact value_float agrees")
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    kind: BetaKind
-    p_max: int
-    rows: tuple[CrossCheckRow, ...]
-    theorem_mismatches: tuple[str, ...]
-    formula_mismatches: tuple[str, ...]
+class CrossCheckReport(
+    namedtuple("CrossCheckReport", "kind p_max rows theorem_mismatches formula_mismatches")
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ import math
 import operator
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 # lexicographic comparison outcomes
 LT, EQ, GT = -1, 0, 1
@@ -53,22 +52,30 @@ def lex_min_rotation(w: str) -> str:
     return min(rotations(w))
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodicSeq:
     """An eventually periodic binary sequence: pre + period repeated forever.
 
     Raw construction is allowed (shift outputs stay cheap); canonical() makes
     the period primitive and the preperiod shortest.  Equality compares
-    canonical forms.
+    canonical forms.  Immutable: assigning to a field raises AttributeError.
     """
 
-    pre: str
-    period: str
+    __slots__ = ("pre", "period")
 
-    def __post_init__(self) -> None:
-        if self.pre.strip("01"):
-            raise ValueError(f"bad preperiod: {self.pre!r}")
-        check_word(self.period)
+    def __init__(self, pre: str, period: str) -> None:
+        if pre.strip("01"):
+            raise ValueError(f"bad preperiod: {pre!r}")
+        check_word(period)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "period", period)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"PeriodicSeq is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PeriodicSeq, (self.pre, self.period)
 
     def symbol(self, i: int) -> str:
         """The i-th symbol (0-based) of the infinite sequence."""

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -249,6 +250,82 @@ def test_int_sign_deep_refinement_matches_reference(kind):
         assert ctx.int_sign(negated) == reference_int_sign(ctx, negated) == NEG
 
 
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations, independent of Laplace expansion."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(rows, perm))
+    return total
+
+
+class TestQuotientKernel:
+    """One cofactor solve and one gcd form every quotient a / b."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cofactors_and_det_match_leibniz(self, n):
+        rng = random.Random(f"leibniz-{n}")
+        for _ in range(4):
+            rows = [tuple(rng.getrandbits(900) - (1 << 899) for _ in range(n)) for _ in range(n)]
+            expected = [
+                (-1) ** k * leibniz_det([r[:k] + r[k + 1 :] for r in rows[1:]]) for k in range(n)
+            ]
+            assert numberfield._cofactors(rows) == expected
+            assert numberfield._det(rows) == leibniz_det(rows)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 50, 299, 1000])
+    def test_periodic_value_times_beta_p_minus_one_is_the_numerator(self, kind, p):
+        ctx = make_context(kind)
+        rng = random.Random(f"periodic-{kind.value}-{p}")
+        word = "".join(rng.choice("01") for _ in range(p - 1)) + "1"
+        signed = tuple(rng.randint(-(2**p), 2**p) for _ in range(ctx.degree))
+        for num in (ctx.int_horner(word), signed):
+            x = ctx.periodic_value(num, p)
+            assert x * (ctx.beta_pow(p) - 1) == FieldElement.from_int_coeffs(ctx, num)
+            assert x.den > 0
+            assert math.gcd(x.den, *x.nums) == 1
+
+    def test_golden_quotients_inverses_and_negative_powers(self):
+        ctx = make_context("golden")
+        b = ctx.beta()
+        assert (b * b - 1).inverse() == b - 1  # as in TestArithmetic
+        assert 1 / (b * b - 1) == b - 1
+        assert b / (b * b) == b - 1
+        assert b ** (-1) == ctx.beta_pow(-1) == b - 1
+        assert b ** (-2) == (b * b).inverse() == 2 - b
+        assert ctx.one() / ctx.beta_pow(-5) == b**5
+
+    def test_tribonacci_quotients_inverses_and_negative_powers(self):
+        ctx = make_context("tribonacci")
+        t = ctx.beta()
+        inv = t * t - t - 1  # t^3 = t^2 + t + 1, so t (t^2 - t - 1) = 1
+        assert t.inverse() == 1 / t == t ** (-1) == ctx.beta_pow(-1) == inv
+        assert t ** (-3) == ctx.beta_pow(-3) == inv**3
+        assert eval_periodic("001", ctx) == 1 / (t**3 - 1)  # as in TestEval
+        assert Fraction(1, 2) / t == inv / 2
+        a, b = t + Fraction(1, 3), t - Fraction(2, 5)
+        assert a / b * b == a
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_periodic_value_rejects_a_period_below_one(self, kind, p):
+        ctx = make_context(kind)
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            ctx.periodic_value(ctx.int_beta_pow(0), p)
+
+    def test_int_beta_pow_rejects_a_negative_power(self):
+        ctx = make_context("golden")
+        assert ctx.int_beta_pow(5) == (3, 5)
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            ctx.int_beta_pow(-1)  # it returned the last cached power, beta**5
+
+    @pytest.mark.parametrize("k", [True, 1.0, "1", Fraction(1)])
+    def test_int_beta_pow_rejects_a_power_that_is_not_an_int(self, k):
+        with pytest.raises(TypeError, match="power must be an int"):
+            make_context("tribonacci").int_beta_pow(k)
+
+
 class TestDecimal:
     def test_examples(self):
         ctx = make_context("2")
@@ -316,6 +393,21 @@ def reference_golden_power(k: int, digits: int) -> str:
     return _reference_format(_reference_context(digits).plus(work.power(beta, k)), digits)
 
 
+def reference_element_decimal(x, digits: int) -> str:
+    """x to `digits` significant digits: the root of the minimal polynomial by
+    bisection in stdlib decimal, with guard digits past the numerators' size."""
+    with decimal.localcontext(_reference_context(digits + 40 + len(str(max(map(abs, x.nums)))))):
+        lo, hi = Decimal(1), Decimal(2)
+        for _ in range(4 * decimal.getcontext().prec):
+            mid = (lo + hi) / 2
+            if sum(c * mid**i for i, c in enumerate(x.ctx.minpoly)) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        value = sum(n * lo**k for k, n in enumerate(x.nums)) / x.den
+    return _reference_format(_reference_context(digits).plus(value), digits)
+
+
 class TestDecimalAgainstReference:
     @pytest.mark.parametrize(
         "n, d, digits",
@@ -359,6 +451,24 @@ class TestDecimalAgainstReference:
     def test_rational_elements_of_irrational_fields(self, kind, n, d, digits):
         x = make_context(kind).from_rational(Fraction(n, d))
         assert x.decimal(digits) == reference_decimal(n, d, digits)
+
+    @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
+    def test_30_digits_take_one_bracket(self, monkeypatch, kind):
+        ctx = make_context(kind)
+        x = eval_periodic("0010110111" * 5, ctx)
+        calls = []
+        bracket = numberfield.BetaContext.bracket
+
+        def spy(self, ints, s):
+            calls.append(s)
+            return bracket(self, ints, s)
+
+        monkeypatch.setattr(numberfield.BetaContext, "bracket", spy)
+        text = x.decimal(30)
+        assert len(calls) == 1
+        for digits in range(1, 41):
+            assert x.decimal(digits) == reference_element_decimal(x, digits)
+        assert text == reference_element_decimal(x, 30)
 
     def test_tiny_values(self):
         two = make_context("2")
