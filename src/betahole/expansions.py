@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numberfield import BetaContext, FieldElement
-from .words import PeriodicSeq, check_word, rotations, smallest_period
+from .words import PeriodicSeq, check_word, lex_min_rotation, rotations, smallest_period
 
 
 def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
@@ -162,70 +162,39 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
     return out
 
 
-def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int, int] | None:
-    """Offset of the rotation of w with the smallest periodic value, and integer
-    bounds low <= V <= top on that rotation (V as in BetaContext.rotation_bounds).
+def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int] | None:
+    """Integer bounds low <= V(w) <= top (V as in BetaContext.rotation_bounds)
+    for w, its class's lexicographically least rotation (a Lyndon word).
 
-    None when w is inadmissible (_exceeds_delta).  Only the rotations starting
-    with the longest cyclic zero run of w, z symbols long, can be least.  One
-    certificate for two routes: the lexicographically least of them must have
-    a strictly smaller exact value than every other rotation, or this raises.
-    One BetaContext.rotation_bounds call settles it first: integer bounds on
-    those candidates, and one lower bound for every rotation with fewer
-    leading zeros, which is a bound and not a built rotation.  Only when a
-    bound cannot decide are the exact numerators of all rotations compared.
-    The least rotation's own bounds are returned, so a caller can rank words
-    without their exact values.  w must be primitive (a shorter period ties
-    rotations).
+    None when w is inadmissible (_exceeds_delta).  One certificate for two
+    routes: w, least by the lex route, must have a strictly smaller exact
+    value than every other rotation, or this raises RuntimeError.  Only the
+    rotations that start with w's leading zero run, z symbols long, can be
+    below w, and one BetaContext.rotation_bounds call bounds them together
+    with every rotation that has fewer leading zeros, which is not built.
+    Only when that one lower bound does not clear top are the exact
+    numerators of all rotations compared, so a w that is not least, or not
+    primitive (a shorter period ties rotations), raises.  The returned
+    bracket lets a caller rank words without their exact values.
     """
     p = len(check_word(w))
     if _exceeds_delta(w, ctx.delta.period):
         return None
-    ww = w + w
-    # the longest cyclic zero run, grown from the leading one: a Lyndon word
-    # starts with it, so the scan's words take one search
-    zeros = "0" * (p - len(w.lstrip("0")))
-    while zeros + "0" in ww and len(zeros) < p:
-        zeros += "0"
-    z = len(zeros)
-    lex = ww.find(zeros)
-    k = ww.find(zeros, lex + 1)
-    if not 0 <= k < p:  # one candidate
-        lows, top, lead = ctx.rotation_bounds([ww[lex : lex + p]], 0, z)
-        low = lows[0]
-        undecided = lead <= top
-    else:
-        starts = [lex]
-        while 0 <= k < p:
-            starts.append(k)
-            k = ww.find(zeros, k + 1)
-        rots = [ww[k : k + p] for k in starts]
-        i = rots.index(min(rots))
-        lex = starts[i]
-        lows, top, lead = ctx.rotation_bounds(rots, i, z)
-        low = lows.pop(i)
-        undecided = lead <= top or min(lows) <= top
-    if undecided:
+    # a word that starts with 1 is not least; z = 1 leaves that to the check
+    z = p - len(w.lstrip("0")) or 1
+    zeros, ww = "0" * z, w + w
+    rots = [w]
+    k = ww.find(zeros, 1)
+    while 0 < k < p:
+        rots.append(ww[k : k + p])
+        k = ww.find(zeros, k + 1)
+    low, top, floor = ctx.rotation_bounds(rots, z)
+    if floor <= top:
         nums = rotation_numerators(w, ctx)
-        for k, n in enumerate(nums):
-            if k != lex and ctx.int_compare(n, nums[lex]) <= 0:
-                raise RuntimeError(
-                    f"rotation {k} of {w} is not above its lex-min rotation {lex} in value"
-                )
-    return lex, low, top
-
-
-def orbit_min_numerator(w: str, ctx: BetaContext) -> tuple[int, tuple[int, ...]] | None:
-    """Offset and exact numerator of the rotation of w with the smallest periodic value.
-
-    The certificate of orbit_min_bounds, then int_horner of that rotation; None
-    when w is inadmissible.
-    """
-    bounds = orbit_min_bounds(w, ctx)
-    if bounds is None:
-        return None
-    lex = bounds[0]
-    return lex, ctx.int_horner(w[lex:] + w[:lex])
+        for k in range(1, p):
+            if ctx.int_compare(nums[k], nums[0]) <= 0:
+                raise RuntimeError(f"rotation {k} of {w} is not above rotation 0 in value")
+    return low, top
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
@@ -241,8 +210,9 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     q = smallest_period(w)
     if q < len(w):
         raise ValueError(f"{w} is not primitive: its smallest period is {q}")
-    lex, num = orbit_min_numerator(w, ctx)
-    return w[lex:] + w[:lex], ctx.periodic_value(num, len(w))
+    least = lex_min_rotation(w)
+    orbit_min_bounds(least, ctx)
+    return least, ctx.periodic_value(ctx.int_horner(least), len(w))
 
 
 def survives(w: str, t, ctx: BetaContext) -> bool:

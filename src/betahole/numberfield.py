@@ -122,22 +122,25 @@ class BetaContext:
 
     def int_horner(self, word: str) -> tuple[int, ...]:
         """sum(word[i] * beta**(p-1-i)) as integer coefficients."""
+        if self.degree == 1:  # base 2: the word is the binary numeral
+            return (int(word, 2),)
         self.int_beta_pow(len(word) - 1)
         ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
-    def rotation_bounds(self, rots: list[str], k: int, z: int) -> tuple[list[int], int, int]:
-        """Integers lows[j] <= V(rots[j]) for every j, top >= V(rots[k]), and
-        lead <= V(r) for every word r of length p = len(rots[0]) with a 1 among
+    def rotation_bounds(self, rots: list[str], z: int) -> tuple[int, int, int]:
+        """Integers low <= V(rots[0]) <= top, and floor <= V(r) for every r in
+        rots[1:] and for every word r of length p = len(rots[0]) with a 1 among
         its first z symbols, for 1 <= z <= p.
 
         V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
         value is a 0/1 sum of powers of beta, so summing each power's bracket
         bounds it whatever the coefficient signs; base 2 is exact.  A word with
-        a 1 at an index a < z is at least beta**(p-1-a) >= beta**(p-z), so lead
-        is that one bracket, and no such word is built or summed: a caller that
-        passes the rotations starting with a zero run of length z gets, in
-        lead, one bound for all the other rotations.
+        a 1 at an index a < z is at least beta**(p-1-a) >= beta**(p-z), so that
+        one bracket, lo[p - z], stands in for all such words, and none of them
+        is built or summed: a caller that passes the rotations starting with a
+        zero run of length z, its least one first, gets in floor one bound on
+        every other rotation.
         """
         lo, hi = self._pow_brackets
         p = len(rots[0])
@@ -146,11 +149,12 @@ class BetaContext:
         if len(lo) < p:
             self.pow_brackets(p)
         if self.degree == 1:  # exact brackets: the sum is the number itself
-            lows = [int(r, 2) for r in rots]
-            return lows, lows[k], lo[p - z]
-        lows = [sum(compress(lo, r[::-1].encode().translate(_BITS))) for r in rots]
-        top = sum(compress(hi, rots[k][::-1].encode().translate(_BITS)))
-        return lows, top, lo[p - z]
+            low, *others = [int(r, 2) for r in rots]
+            top = low
+        else:
+            low, *others = [sum(compress(lo, r[::-1].encode().translate(_BITS))) for r in rots]
+            top = sum(compress(hi, rots[0][::-1].encode().translate(_BITS)))
+        return low, top, min([lo[p - z], *others])
 
     def pow_brackets(self, n: int) -> tuple[list[int], list[int]]:
         """Lists lo, hi of at least n entries, lo[m] <= beta**m * 2**(64*(degree-1)) <= hi[m]."""

@@ -29,7 +29,7 @@ from itertools import cycle, islice, repeat
 
 from .expansions import orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
-from .words import lex_min_rotation, primitive_representatives
+from .words import check_period, primitive_representatives
 
 BRUTE, THEOREM, CLOSED = "BruteForce", "TheoremWord", "ClosedForm"
 
@@ -112,12 +112,14 @@ def _scan_shard(kind_value: str, p: int, shard: int, shards: int):
 
 
 def _candidates(ctx: BetaContext, words):
-    """(low, top, least rotation, 1) for each admissible word, by orbit_min_bounds."""
+    """(low, top, w, 1) for each admissible word w, by orbit_min_bounds.
+
+    The words are the walk's Lyndon words, each its class's least rotation,
+    which orbit_min_bounds takes as given and certifies.
+    """
     for w in words:
-        bounds = orbit_min_bounds(w, ctx)
-        if bounds is not None:
-            lex, low, top = bounds
-            yield low, top, w[lex:] + w[:lex], 1
+        if (bounds := orbit_min_bounds(w, ctx)) is not None:
+            yield (*bounds, w, 1)
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -146,11 +148,9 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
     period's W results are folded as they arrive.  Only the winner of each
     period gets an exact numerator here.
     """
-    ps = [operator.index(p) for p in ps]
+    ps = [check_period(p) for p in ps]
     workers = operator.index(workers)
     for p in ps:
-        if p < 1:
-            raise ValueError("p must be >= 1")
         if p > HARD_P_CAP:
             raise ValueError(f"p={p} exceeds the enumeration cap of {HARD_P_CAP}")
         if p > DEFAULT_P_CAP and not allow_large:
@@ -201,8 +201,6 @@ def brute_force_S(
 
 def _family(classes, p: int):
     """The (z, entry) of the class (step, offset, entry) with p = step*z + offset."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     # unpacking exactly one match makes a gap or an overlap in the classes raise
     ((z, entry),) = [((p - o) // s, e) for s, o, e in classes if (p - o) % s == 0]
     return z, entry
@@ -236,7 +234,7 @@ _WORDS = {
 def theorem_word(kind: "BetaKind | str", p: int) -> str | None:
     """The asserted critical word for period p, or None on the S=0 branches."""
     exceptions, classes = _WORDS[BetaKind(kind)]
-    if p in exceptions:
+    if check_period(p) in exceptions:
         return exceptions[p]
     z, pieces = _family(classes, p)
     return "".join(block * (a * z + c) for block, a, c in pieces)
@@ -285,7 +283,7 @@ _CLOSED = {
 def closed_form(kind: "BetaKind | str", p: int) -> FieldElement | None:
     """Exact evaluation of the printed rational expressions; None where uncovered."""
     uncovered, classes = _CLOSED[BetaKind(kind)]
-    if p in uncovered:
+    if check_period(p) in uncovered:
         return None
     z, f = _family(classes, p)
     return f(make_context(kind).beta_pow, z)
@@ -345,8 +343,7 @@ def cross_check(
     evidence ("theorem mismatch"); a closed-form disagreement while brute
     force matches the word is a "paper-formula mismatch".  Both are data.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    check_period(p_max, "p_max")
     kind = BetaKind(kind)
     ctx = make_context(kind)
     rows: list[CrossCheckRow] = []
@@ -357,10 +354,8 @@ def cross_check(
         p = brec.p
         trec = theorem_record(kind, p, digits)
         reference = trec.value
-        value_ok = (brec.value - reference).sign() == 0
-        word_ok = True
-        if trec.word is not None:
-            word_ok = brec.word == lex_min_rotation(trec.word)
+        value_ok = brec.value == reference
+        word_ok = trec.word is None or brec.word == trec.word
         if not (value_ok and word_ok):
             theorem_bad.append(
                 f"{kind.value} p={p}: brute word={brec.word} S={brec.value.serialize()}"
@@ -377,7 +372,7 @@ def cross_check(
         )
         crec = closed_record(kind, p, digits)
         if crec is not None:
-            formula_ok = (crec.value - reference).sign() == 0
+            formula_ok = crec.value == reference
             if not formula_ok:
                 tag = "paper-formula mismatch" if value_ok else "theorem mismatch"
                 formula_bad.append(

@@ -26,6 +26,15 @@ def check_word(w: str) -> str:
     return w
 
 
+def check_period(p: int, name: str = "p") -> int:
+    """Validate a period: an int, not a bool, that is at least 1."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise TypeError(f"{name} must be an int, not {type(p).__name__}")
+    if p < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return p
+
+
 def smallest_period(w: str) -> int:
     """Least q dividing len(w) such that w is the (len/q)-fold repeat of w[:q]."""
     check_word(w)
@@ -209,11 +218,7 @@ def primitive_representatives(
     binary word, and shard and shards ints; the first next() raises
     otherwise, before the walk starts.
     """
-    if isinstance(p, bool):
-        raise TypeError("p must be an int, not bool")
-    p = operator.index(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_period(p)
     if below is not None:
         check_word(below)
     shard, shards = operator.index(shard), operator.index(shards)

@@ -12,7 +12,6 @@ from betahole.expansions import (
     is_admissible,
     orbit_min,
     orbit_min_bounds,
-    orbit_min_numerator,
     quasi_greedy_digits,
     rotation_numerators,
     survives,
@@ -40,17 +39,14 @@ ALL_KINDS = list(BetaKind)
 
 
 def undecided_bounds(monkeypatch):
-    """Lower every bound of BetaContext.rotation_bounds but the lex-min candidate's
-    own to at most its top: still sound, but no bound decides, so every word takes
-    the exact route, and the lex-min candidate's bracket is unchanged."""
+    """Lower the floor of BetaContext.rotation_bounds to at most its top: still
+    sound, but it decides nothing, so every word takes the exact route, and the
+    first rotation's bracket is unchanged."""
     real = BetaContext.rotation_bounds
 
-    def undecided(self, rots, k, z):
-        lows, top, lead = real(self, rots, k, z)
-        low = lows[k]
-        lows = [min(x, top) for x in lows]
-        lows[k] = low
-        return lows, top, min(lead, top)
+    def undecided(self, rots, z):
+        low, top, floor = real(self, rots, z)
+        return low, top, min(floor, top)
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", undecided)
 
@@ -65,14 +61,12 @@ def zero_run_candidates(w):
 
 
 def orbit_min_oracle(w, ctx):
-    """(offset, low, top) of min(rotations(w)), with low and top summed from the
-    brackets of pow_brackets: what orbit_min_bounds must return."""
-    rots = rotations(w)
-    least = min(rots)
+    """(low, top) of w, summed from the brackets of pow_brackets: what
+    orbit_min_bounds must return for a least rotation w."""
     p = len(w)
     lo, hi = ctx.pow_brackets(p)
-    ones = [p - 1 - i for i, c in enumerate(least) if c == "1"]
-    return rots.index(least), sum(lo[m] for m in ones), sum(hi[m] for m in ones)
+    ones = [p - 1 - i for i, c in enumerate(w) if c == "1"]
+    return sum(lo[m] for m in ones), sum(hi[m] for m in ones)
 
 
 @pytest.fixture
@@ -247,7 +241,7 @@ def test_admissibility_matches_reference_loop(kind, w):
 @pytest.mark.parametrize("bad", ["", "2", "012", "0 1"])
 def test_every_entry_point_rejects_a_word_that_is_not_binary(kind, bad):
     ctx = make_context(kind)
-    for f in (orbit_min_numerator, is_admissible, orbit_min):
+    for f in (orbit_min_bounds, is_admissible, orbit_min):
         with pytest.raises(ValueError, match="not a nonempty binary word"):
             f(bad, ctx)
 
@@ -285,15 +279,13 @@ def test_one_verdict_for_every_word_up_to_length_12(kind):
         ref = reference_admissibility(w, ctx)
         assert is_admissible(w, ctx) == ref
         if not ref.admissible:
-            assert orbit_min_numerator(w, ctx) is None
+            assert orbit_min_bounds(w, ctx) is None
         elif smallest_period(w) == len(w):
             least = lex_min_rotation(w)
-            assert orbit_min_numerator(w, ctx) == (
-                rotations(w).index(least), ctx.int_horner(least)
-            )
+            assert orbit_min(w, ctx) == (least, eval_periodic(least, ctx))
         else:  # a shorter period ties the lex-min rotation with another
             with pytest.raises(RuntimeError):
-                orbit_min_numerator(w, ctx)
+                orbit_min_bounds(lex_min_rotation(w), ctx)
 
 
 class TestOrbitMin:
@@ -348,16 +340,17 @@ class TestOrbitMin:
     )
     def test_dual_route_faults_raise(self, monkeypatch, fault, kind, w):
         # unreachable on correct code (Parry); stubbed numerators stand in for a fault.
-        # The words put the lex-min rotation at offsets 0, 1 and 2.
+        # The words put the lex-min rotation at offsets 0, 1 and 2; orbit_min
+        # certifies that rotation, so the numerators start with its own.
         real = rotation_numerators
 
         def faulty(word, ctx):
             nums = real(word, ctx)
-            lex = rotations(word).index(lex_min_rotation(word))
+            assert word == lex_min_rotation(word)
             if fault == "tie":
-                nums[lex + 1] = nums[lex]  # a later rotation attains the minimum
+                nums[1] = nums[0]  # a later rotation attains the minimum
             elif fault == "earlier-tie":
-                nums[lex - 1] = nums[lex]  # the cyclically preceding rotation ties it
+                nums[-1] = nums[0]  # the cyclically preceding rotation ties it
             else:
                 nums = nums[1:] + nums[:1]  # the minimum moves one place
             return nums
@@ -372,15 +365,15 @@ class TestOrbitMin:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_offset_and_numerator_are_the_lex_min_rotations(self, kind):
-        # every primitive admissible word, not only Lyndon words, so the offset
-        # is not always 0; a word with a shorter period has tied rotations
+        # every primitive admissible word, not only Lyndon words, so the least
+        # rotation is not always w; a word with a shorter period has tied rotations
         ctx = make_context(kind)
         for w in all_words(8):
             if smallest_period(w) < len(w) or not is_admissible(w, ctx).admissible:
                 continue
             least = lex_min_rotation(w)
-            assert orbit_min_numerator(w, ctx) == (
-                rotations(w).index(least), ctx.int_horner(least)
+            assert orbit_min(w, ctx) == (
+                least, ctx.periodic_value(ctx.int_horner(least), len(w))
             )
 
     @pytest.mark.parametrize(
@@ -391,37 +384,34 @@ class TestOrbitMin:
         # 64-bit bounds cannot separate rotations sharing a long prefix; base 2 is exact
         ctx = make_context(kind)
         w = theorem_word(kind, p)
-        least = lex_min_rotation(w)
-        assert orbit_min_numerator(w, ctx) == (rotations(w).index(least), ctx.int_horner(least))
+        assert w == lex_min_rotation(w)
+        assert orbit_min_bounds(w, ctx) == orbit_min_oracle(w, ctx)
         assert numerator_calls == ([w] if exact else [])
 
-    @pytest.mark.parametrize("step", [-1, 1, None])
+    @pytest.mark.parametrize("gap", [-1, 0, 1])
     @pytest.mark.parametrize(
-        "kind, w",
-        # one candidate each, then the lex-min one as the 2nd of 2 and the 3rd of 3
-        [("golden", "100"), ("tribonacci", "1100"), ("golden", "00101001"), ("2", "0101101")],
+        "kind, w, n",
+        # n candidate rotations: one each, then 2 and 3
+        [("golden", "001", 1), ("tribonacci", "0011", 1), ("golden", "00100101", 2),
+         ("2", "0101011", 3)],
     )
-    def test_one_undecided_rotation_takes_the_exact_route(
-        self, monkeypatch, numerator_calls, kind, w, step
+    def test_a_floor_at_or_below_top_takes_the_exact_route(
+        self, monkeypatch, numerator_calls, kind, w, n, gap
     ):
-        # the candidate just before or after the lex-min one is not cleared by its
-        # bound; with no other candidate, or with step None, the bound of the
-        # rotations with fewer leading zeros is not
+        # the one decision is floor <= top: a floor moved to top + gap, still
+        # sound since the real floor clears top, is undecided at gap -1 and 0
         real = BetaContext.rotation_bounds
 
-        def one_undecided(self, rots, k, z):
-            lows, top, lead = real(self, rots, k, z)
-            j = k if step is None else (k + step) % len(rots)
-            if j == k:
-                return lows, top, top
-            lows[j] = top
-            return lows, top, lead
+        def moved(self, rots, z):
+            low, top, floor = real(self, rots, z)
+            assert floor > top
+            return low, top, top + gap
 
-        monkeypatch.setattr(BetaContext, "rotation_bounds", one_undecided)
+        monkeypatch.setattr(BetaContext, "rotation_bounds", moved)
         ctx = make_context(kind)
-        least = lex_min_rotation(w)
-        assert orbit_min_numerator(w, ctx) == (rotations(w).index(least), ctx.int_horner(least))
-        assert numerator_calls == [w]
+        assert w == lex_min_rotation(w) and len(zero_run_candidates(w)[1]) == n
+        assert orbit_min_bounds(w, ctx) == orbit_min_oracle(w, ctx)
+        assert numerator_calls == ([w] if gap <= 0 else [])
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exact_route_alone_gives_the_same_results(self, monkeypatch, kind):
@@ -431,9 +421,9 @@ class TestOrbitMin:
             for w in all_words(8)
             if smallest_period(w) == len(w) and is_admissible(w, ctx).admissible
         ]
-        filtered = [orbit_min_numerator(w, ctx) for w in words]
+        filtered = [orbit_min(w, ctx) for w in words]
         undecided_bounds(monkeypatch)
-        assert [orbit_min_numerator(w, ctx) for w in words] == filtered
+        assert [orbit_min(w, ctx) for w in words] == filtered
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bounds_decide_every_enumerated_word_up_to_p14(self, numerator_calls, kind):
@@ -443,7 +433,7 @@ class TestOrbitMin:
         for p in range(1, 15):
             for w in primitive_representatives(p, below=ctx.delta.period):
                 if is_admissible(w, ctx).admissible:
-                    orbit_min_numerator(w, ctx)
+                    orbit_min_bounds(w, ctx)
                     n += 1
         assert n > 0 and numerator_calls == []
 
@@ -453,9 +443,9 @@ class TestOrbitMin:
         real = BetaContext.rotation_bounds
         bounded = []
 
-        def spy(self, rots, k, z):
-            bounded.append((rots, k, z))
-            return real(self, rots, k, z)
+        def spy(self, rots, z):
+            bounded.append((rots, z))
+            return real(self, rots, z)
 
         def no_rotations(w):
             raise AssertionError(f"rotations({w!r}) called")
@@ -466,10 +456,10 @@ class TestOrbitMin:
         for p in range(1, 15):
             for w in primitive_representatives(p, below=ctx.delta.period):
                 bounded.clear()
-                if orbit_min_numerator(w, ctx) is None:
+                if orbit_min_bounds(w, ctx) is None:
                     continue
                 z, candidates = zero_run_candidates(w)
-                assert bounded == [(candidates, candidates.index(min(candidates)), z)], w
+                assert candidates[0] == w and bounded == [(candidates, z)], w
 
     @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
     def test_bounds_decide_every_enumerated_word_up_to_p20(self, numerator_calls, kind):
@@ -478,7 +468,7 @@ class TestOrbitMin:
         n = 0
         for p in range(1, 21):
             for w in primitive_representatives(p, below=ctx.delta.period):
-                n += orbit_min_numerator(w, ctx) is not None
+                n += orbit_min_bounds(w, ctx) is not None
         assert n > 0 and numerator_calls == []
 
     @pytest.mark.parametrize("route", ["bounds", "exact"])
@@ -486,7 +476,7 @@ class TestOrbitMin:
     def test_every_primitive_admissible_word_up_to_length_12_matches_the_oracle(
         self, monkeypatch, numerator_calls, kind, route
     ):
-        # Lyndon or not, so the offset is not always 0; the exact route is forced
+        # each such word's class, by its least rotation; the exact route is forced
         # by sound bounds that decide nothing, and must agree with the bounds route
         ctx = make_context(kind)
         if route == "exact":
@@ -494,19 +484,42 @@ class TestOrbitMin:
         words = [
             w
             for w in all_words(12)
-            if smallest_period(w) == len(w) and is_admissible(w, ctx).admissible
+            if smallest_period(w) == len(w) and w == lex_min_rotation(w)
+            and is_admissible(w, ctx).admissible
         ]
         shapes = Counter()
         for w in words:
             assert orbit_min_bounds(w, ctx) == orbit_min_oracle(w, ctx), w
             z, candidates = zero_run_candidates(w)
             shapes[min(len(candidates), 3)] += 1
-            shapes["offset > 0"] += min(candidates) != w
             shapes["z = p"] += z == len(w)
         # "0" alone has z = p; 1, 2 and 3 or more candidates all occur
         assert shapes["z = p"] == 1 and "0" in words
-        assert shapes[1] and shapes[2] and shapes[3] and shapes["offset > 0"], shapes
+        assert shapes[1] and shapes[2] and shapes[3], shapes
         assert numerator_calls == (words if route == "exact" else [])
+
+    @pytest.mark.parametrize("route", ["bounds", "exact"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_word_that_is_not_its_least_rotation_raises(
+        self, monkeypatch, numerator_calls, kind, route
+    ):
+        # the certificate takes w as its class's least rotation and proves it:
+        # every primitive admissible word that is not reaches the exact values,
+        # on either route, and raises there instead of returning a bracket
+        ctx = make_context(kind)
+        if route == "exact":
+            undecided_bounds(monkeypatch)
+        words = [
+            w
+            for w in all_words(10)
+            if smallest_period(w) == len(w) and w != lex_min_rotation(w)
+            and is_admissible(w, ctx).admissible
+        ]
+        for w in words:
+            with pytest.raises(RuntimeError, match="is not above rotation 0"):
+                orbit_min_bounds(w, ctx)
+        # some start with 1, so no rotation starts with their zero run
+        assert any(w[0] == "1" for w in words) and numerator_calls == words
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:

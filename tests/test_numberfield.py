@@ -259,6 +259,23 @@ def leibniz_det(rows):
     return total
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_int_horner_matches_horner_by_int_mul_beta(kind):
+    # base 2 reads the word as a binary numeral and the other kinds sum power
+    # columns; both must equal Horner's rule, one multiplication by beta per digit
+    ctx = make_context(kind)
+    rng = random.Random(f"horner-{kind.value}")
+    words = [format(v, f"0{n}b") for n in range(1, 9) for v in range(1 << n)]
+    words += ["".join(rng.choice("01") for _ in range(n)) for n in (64, 299, 1000)]
+    for w in words:
+        num = (0,) * ctx.degree
+        for c in w:
+            num = ctx.int_mul_beta(num)
+            if c == "1":
+                num = (num[0] + 1, *num[1:])
+        assert ctx.int_horner(w) == num, w
+
+
 class TestQuotientKernel:
     """One cofactor solve and one gcd form every quotient a / b."""
 
@@ -548,56 +565,66 @@ class TestEval:
 
 
 def lead_zeros(r):
-    """The z that rotation_bounds takes with rots[k] = r: its leading zeros, at least 1."""
+    """The z that rotation_bounds takes with rots[0] = r: its leading zeros, at least 1."""
     return max(1, len(r) - len(r.lstrip("0")))
 
 
+def first(rots, k):
+    """The rotations rots[k:] + rots[:k]: rotation k first, the others after it."""
+    return rots[k:] + rots[:k]
+
+
 def assert_rotation_bounds_sound(ctx, w):
-    """lows[j] <= V(rotation j) <= top for every j, with k = j, and lead <= V of
-    every rotation with a 1 among its first z symbols, checked exactly."""
+    """low <= V(rots[0]) <= top and floor <= V of every other rotation, with each
+    rotation first in turn, and floor <= V of every rotation with a 1 among the
+    first z symbols when only rots[0] is passed, checked exactly."""
     rots = rotations(w)
     shift = 64 * (ctx.degree - 1)
     values = [[c << shift for c in ctx.int_horner(r)] for r in rots]  # V(r) as coefficients
-    for j, v in enumerate(values):
-        z = lead_zeros(rots[j])
-        lows, top, lead = ctx.rotation_bounds(rots, j, z)
-        assert ctx.int_sign((v[0] - lows[j], *v[1:])) >= 0, (w, j)
-        assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, j)
-        for r, u in zip(rots, values):
+    for k, v in enumerate(values):
+        z = lead_zeros(rots[k])
+        low, top, floor = ctx.rotation_bounds(first(rots, k), z)
+        assert ctx.int_sign((v[0] - low, *v[1:])) >= 0, (w, k)
+        assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, k)
+        stand_in = ctx.rotation_bounds([rots[k]], z)[2]
+        for j, (r, u) in enumerate(zip(rots, values)):
+            if j != k:
+                assert ctx.int_sign((u[0] - floor, *u[1:])) >= 0, (w, k, r)
             if "1" in r[:z]:
-                assert ctx.int_sign((u[0] - lead, *u[1:])) >= 0, (w, j, r)
+                assert ctx.int_sign((u[0] - stand_in, *u[1:])) >= 0, (w, k, r)
         if ctx.degree == 1:  # the brackets are exact
-            assert lows[j] == top == int(rots[j], 2)
+            assert low == top == int(rots[k], 2)
 
 
 def assert_every_lower_bound_sound(ctx, w):
-    """lows[j] <= V(rotation j) for every j, and lead <= V(rotation j) whenever it
-    has a 1 among the first z symbols, whichever rotation k and z the bounds are
-    taken for.
+    """low <= V(rots[0]) and floor <= V of every other rotation, whichever
+    rotation is first, and floor <= V of every rotation with a 1 among the first
+    z symbols, whichever z the bounds are taken for.
 
-    The largest lower bound of rotation j is checked exactly, so a lower bound
-    that depends on rotation k or on z is covered too.  The bounds are taken
-    for every k with z its leading zeros, as orbit_min_bounds does, and lead
-    for every z in 1..p.
+    The largest lower bound of each rotation is checked exactly, so a lower
+    bound that depends on the first rotation or on z is covered too.  The
+    bounds are taken with every rotation first and z its leading zeros, as
+    orbit_min_bounds does, and the stand-in alone for every z in 1..p.
     """
     rots = rotations(w)
     p = len(w)
     shift = 64 * (ctx.degree - 1)
-    leads = {}
     highest = [0] * p
-    for k, r in enumerate(rots):
-        z = lead_zeros(r)
-        lows, _, leads[k, z] = ctx.rotation_bounds(rots, k, z)
-        highest = list(map(max, highest, lows))
+    for k in range(p):
+        low, _, floor = ctx.rotation_bounds(first(rots, k), lead_zeros(rots[k]))
+        highest = [max(h, low if j == k else floor) for j, h in enumerate(highest)]
     for z in range(1, p + 1):
-        leads[0, z] = ctx.rotation_bounds(rots, 0, z)[2]
-    for (_, z), lead in leads.items():
-        for j, r in enumerate(rots):
-            if "1" in r[:z]:
-                highest[j] = max(highest[j], lead)
+        stand_in = ctx.rotation_bounds(rots[:1], z)[2]
+        highest = [max(h, stand_in) if "1" in r[:z] else h for h, r in zip(highest, rots)]
     for j, r in enumerate(rots):
         v = [c << shift for c in ctx.int_horner(r)]
         assert ctx.int_sign((v[0] - highest[j], *v[1:])) >= 0, (w, j)
+
+
+def bracket_sum(lo, r):
+    """The full sum of the lower brackets of r's powers."""
+    p = len(r)
+    return sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
 
 
 class TestRotationBounds:
@@ -628,8 +655,8 @@ class TestRotationBounds:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rotations_without_the_leading_zeros_share_the_lead_bound(self, kind):
         # unconditionally, even where the bound does not clear top: a caller may
-        # pass only the rotations that start with z zeros and take lead for the
-        # others, which are not summed even when they are passed
+        # pass only the rotations that start with z zeros and take the stand-in
+        # lo[p - z] in floor for the others, which are not summed
         ctx = make_context(kind)
         for n in range(1, 11):
             lo = ctx.pow_brackets(n)[0]
@@ -637,18 +664,17 @@ class TestRotationBounds:
                 rots = rotations(format(v, f"0{n}b"))
                 for k, r in enumerate(rots):
                     z = lead_zeros(r)
-                    lows, _, lead = ctx.rotation_bounds(rots, k, z)
-                    assert lead == lo[n - z], (rots, k)
-                    for j, x in enumerate(rots):
-                        # the full sum of lower brackets
-                        assert lows[j] == sum(lo[n - 1 - i] for i, c in enumerate(x) if c == "1")
+                    assert ctx.rotation_bounds([r], z)[::2] == (bracket_sum(lo, r), lo[n - z])
+                    low, _, floor = ctx.rotation_bounds(first(rots, k), z)
+                    others = [bracket_sum(lo, x) for x in first(rots, k)[1:]]
+                    assert (low, floor) == (bracket_sum(lo, r), min([lo[n - z], *others]))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("z", [0, -1, 5, 40])
     def test_rejects_a_zero_run_outside_the_word(self, kind, z):
         # past p, lo[p - z] indexes from the end: a bracket far above the words' values
         with pytest.raises(ValueError, match="1 <= z <= 4"):
-            make_context(kind).rotation_bounds(["0011"], 0, z)
+            make_context(kind).rotation_bounds(["0011"], z)
 
     @pytest.mark.parametrize(
         "kind, w, z",
@@ -657,17 +683,17 @@ class TestRotationBounds:
     )
     def test_rotations_with_fewer_leading_zeros_take_the_lead_power_bound(self, kind, w, z):
         # w starts with z zeros; every rotation with fewer is at least beta**(p-z),
-        # and that one bracket is their lower bound, above the least rotation's top
+        # and that one bracket bounds them all in floor, above the least rotation's top
         ctx = make_context(kind)
         rots, p = rotations(w), len(w)
         candidates = [r for r in rots if r.startswith("0" * z)]
-        lows, top, lead = ctx.rotation_bounds(candidates, 0, z)
+        low, top, floor = ctx.rotation_bounds(candidates, z)
         lo = ctx._pow_brackets[0]
-        assert min(rots) == w == candidates[0] and lead == lo[p - z] > top
+        assert min(rots) == w == candidates[0] and floor > top
         assert len(candidates) < p // 2
-        for low, r in zip(lows, candidates):  # the full sum of lower brackets
-            assert low == sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
+        assert low == bracket_sum(lo, w)
+        assert floor == min(lo[p - z], *(bracket_sum(lo, r) for r in candidates[1:]))
         for r in rots:
             if r not in candidates:
-                assert lead <= sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
+                assert lo[p - z] <= bracket_sum(lo, r)
         assert_rotation_bounds_sound(ctx, w)

@@ -20,7 +20,7 @@ from betahole.survivor import (
     theorem_record,
     theorem_word,
 )
-from betahole.words import lex_min_rotation, smallest_period
+from betahole.words import lex_min_rotation, primitive_representatives, smallest_period
 
 ALL_KINDS = list(BetaKind)
 
@@ -55,8 +55,10 @@ class TestTheoremWord:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_structural_properties(self, kind):
+        # the brute force certifies its Lyndon words, and cross_check compares
+        # them with these as they are, so each must be its least rotation
         ctx = make_context(kind)
-        for p in range(1, 25):
+        for p in range(1, 301):
             w = theorem_word(kind, p)
             if w is None:
                 continue
@@ -201,9 +203,9 @@ def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
     real = BetaContext.rotation_bounds
     slack = 1 << 200
 
-    def wide(self, rots, k, z):
-        lows, top, lead = real(self, rots, k, z)
-        return [low - slack for low in lows], top + slack, lead - slack
+    def wide(self, rots, z):
+        low, top, floor = real(self, rots, z)
+        return low - slack, top + slack, floor - slack
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", wide)
     spy_pools(monkeypatch, 7)
@@ -388,6 +390,31 @@ class TestClosedForm:
             assert cf == eval_periodic(w, ctx)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: next(primitive_representatives(p)),
+        lambda p: theorem_word("2", p),
+        lambda p: theorem_word("golden", p),
+        lambda p: theorem_record("2", p),
+        lambda p: closed_form("golden", p),
+        lambda p: closed_record("tribonacci", p),
+        lambda p: brute_force_S(make_context("2"), p),
+        lambda p: cross_check("golden", p),
+    ],
+    ids=[
+        "primitive_representatives", "theorem_word-2", "theorem_word-golden", "theorem_record",
+        "closed_form", "closed_record", "brute_force_S", "cross_check",
+    ],
+)
+@pytest.mark.parametrize("p", [True, False, 3.0, "3", None])
+def test_every_entry_point_rejects_a_period_that_is_not_an_int(call, p):
+    # True once passed as p = 1: theorem_word("2", True) gave "0", golden's
+    # p = 1 exception matched True, and brute_force_S ran p = 1
+    with pytest.raises(TypeError, match="must be an int"):
+        call(p)
+
+
 @pytest.mark.parametrize("path", [theorem_word, closed_form])
 @pytest.mark.parametrize("p", [0, -1])
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -436,6 +463,23 @@ class TestCrossCheck:
         # zero rows would certify nothing, so ok=True must not come back
         with pytest.raises(ValueError, match="p_max must be >= 1"):
             cross_check(kind, p_max)
+
+    @pytest.mark.parametrize("word", ["01001", "00011"])
+    def test_a_theorem_word_other_than_the_brute_word_is_a_mismatch(self, monkeypatch, word):
+        # the value stays equal, so only the word comparison can flag it; the
+        # brute word is the least rotation, and a theorem word must be it as
+        # written, not some other rotation of it ("01001") or another class
+        real = survivor.theorem_record
+
+        def replaced(kind, p, digits=10):
+            rec = real(kind, p, digits)
+            return rec._replace(word=word) if p == 5 else rec
+
+        monkeypatch.setattr(survivor, "theorem_record", replaced)
+        rep = cross_check("golden", 6)
+        assert not rep.ok and not rep.formula_mismatches
+        assert len(rep.theorem_mismatches) == 1
+        assert rep.theorem_mismatches[0].startswith("golden p=5: brute word=00101")
 
     def test_theorem_record_empty_branches(self):
         for kind, p in ((BetaKind.GOLDEN, 1), (BetaKind.GOLDEN, 2), (BetaKind.TRIBONACCI, 1)):
