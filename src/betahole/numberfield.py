@@ -121,7 +121,9 @@ class BetaContext:
         return tuple(out)
 
     def int_horner(self, word: str) -> tuple[int, ...]:
-        """sum(word[i] * beta**(p-1-i)) as integer coefficients."""
+        """sum(word[i] * beta**(p-1-i)) as integer coefficients, for a nonempty
+        binary word; anything else raises ValueError."""
+        check_word(word)
         if self.degree == 1:  # base 2: the word is the binary numeral
             return (int(word, 2),)
         self.int_beta_pow(len(word) - 1)
@@ -531,7 +533,6 @@ def eval_periodic(word: str, ctx: BetaContext) -> FieldElement:
 
     Equals (sum of word[i] * beta^(p-i)) / (beta^p - 1).
     """
-    check_word(word)
     return ctx.periodic_value(ctx.int_horner(word), len(word))
 
 

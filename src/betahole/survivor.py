@@ -14,18 +14,20 @@ p = 1, 3, 4, 6.  Within each class the critical values increase to 1 - 1/beta.
 
 The exhaustive search with W workers deals the subtrees of the
 delta(beta)-pruned Lyndon tree round-robin into W shards, and each shard walks
-only its own subtrees (words.primitive_representatives).  Each brute-force
-run opens at most one process pool (none when W = 1) and sends the W shards
-of all its periods through it in one map; the shards' results are folded by
-one order-independent rule, so the output does not depend on W.
+only its own subtrees (words.primitive_representatives).  A shard walks once,
+to the run's largest period, and collects the words of every period on the
+way: the walk to length n passes every Lyndon word shorter than n.  Each
+brute-force run opens at most one process pool (none when W = 1) and sends
+its W shards through it in one map; their results are folded by one
+order-independent rule before any record is yielded, so the output does not
+depend on W.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 from collections import namedtuple
-from itertools import cycle, islice, repeat
+from itertools import chain, repeat
 
 from .expansions import orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
@@ -58,56 +60,54 @@ class SurvivorRecord(namedtuple("SurvivorRecord", "p word value value_float meth
         return line
 
 
-def _best(ctx: BetaContext, candidates):
-    """Fold (low, top, word, ties) candidates, given in any order.
+def _best(ctx: BetaContext, candidates) -> dict:
+    """Fold (low, top, word, ties) candidates, given in any order, by word length.
 
-    word is the least rotation of a class and low <= V(word) <= top bracket
-    its orbit minimum as BetaContext.rotation_bounds does; entries with word
-    None are skipped.  A candidate beats the incumbent when its low is above
-    the incumbent's top and loses when its top is below the incumbent's low;
-    only overlapping brackets compare the exact numerators int_horner(word).
+    Returns {length: (low, top, word, ties)}, the best candidate of each
+    length.  word is the least rotation of a class and low <= V(word) <= top
+    bracket its orbit minimum as BetaContext.rotation_bounds does.  A
+    candidate beats the incumbent of its length when its low is above the
+    incumbent's top and loses when its top is below the incumbent's low; only
+    overlapping brackets compare the exact numerators int_horner(word).
     Equal values sum their ties and keep the lexicographically smaller word
     and both brackets' intersection, so the result does not depend on the
-    order of the candidates.  All words have the same length, so string order
-    is binary-numeral order; it only breaks ties.
+    order of the candidates.  Words of one length compare as binary numerals
+    in string order; that only breaks ties.
     """
-    best_low = best_top = best_word = best_num = None
-    ties = 0
+    best = {}  # length -> [low, top, word, ties, exact numerator of word or None]
     for low, top, word, n in candidates:
-        if word is None:
+        inc = best.get(len(word))
+        if inc is None or low > inc[1]:
+            best[len(word)] = [low, top, word, n, None]
             continue
-        if best_word is None or low > best_top:
-            best_low, best_top, best_word, ties, best_num = low, top, word, n, None
+        if top < inc[0]:
             continue
-        if top < best_low:
-            continue
-        if best_num is None:
-            best_num = ctx.int_horner(best_word)
+        if inc[4] is None:
+            inc[4] = ctx.int_horner(inc[2])
         num = ctx.int_horner(word)
-        c = ctx.int_compare(num, best_num)
+        c = ctx.int_compare(num, inc[4])
         if c > 0:
-            best_low, best_top, best_word, ties, best_num = low, top, word, n, num
+            best[len(word)] = [low, top, word, n, num]
         elif c == 0:
-            best_low, best_top = max(low, best_low), min(top, best_top)
-            best_word = min(best_word, word)
-            ties += n
-    return best_low, best_top, best_word, ties
+            inc[:4] = max(low, inc[0]), min(top, inc[1]), min(inc[2], word), inc[3] + n
+    return {length: tuple(inc[:4]) for length, inc in best.items()}
 
 
-def _scan_shard(kind_value: str, p: int, shard: int, shards: int):
-    """Best admissible class among the words of one shard of the pruned
-    enumeration; pure, fork-safe.
+def _scan_shard(kind_value: str, periods, shard: int, shards: int) -> dict:
+    """Best admissible class of each period among the words of one shard of
+    the pruned enumeration; pure, fork-safe.
 
-    Returns the _best fold of (low, top, least rotation, 1) for every
-    admitted word, with the bounds of orbit_min_bounds, so no exact
-    numerator is built unless two brackets overlap.  The shard walks only the
-    small subtrees dealt to it round-robin, which balances the shards: every
-    Lyndon word of length >= 2 starts with 0, so a split by value would leave
-    all of them in the first shard.
+    One walk to the largest period yields the words of every period.  Returns
+    the _best fold, by period, of (low, top, least rotation, 1) for every
+    admitted word, with the bounds of orbit_min_bounds, so no exact numerator
+    is built unless two brackets overlap.  The shard walks only the small
+    subtrees dealt to it round-robin, which balances the shards: every Lyndon
+    word of length >= 2 starts with 0, so a split by value would leave all of
+    them in the first shard.
     """
     ctx = make_context(kind_value)
     # pruning by delta(beta) drops only inadmissible words; orbit_min_bounds checks the rest
-    words = primitive_representatives(p, ctx.delta.period, shard, shards)
+    words = primitive_representatives(max(periods), ctx.delta.period, shard, shards, periods)
     return _best(ctx, _candidates(ctx, words))
 
 
@@ -143,13 +143,13 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
     """Yield the brute-force SurvivorRecord of each period in ps, in order.
 
     Every period is checked against the caps before any word is enumerated.
-    The W = min(workers, usable CPUs) shards of every period go through one
-    map of one process pool, or run in this process when W = 1; each
-    period's W results are folded as they arrive.  Only the winner of each
-    period gets an exact numerator here.
+    The W = min(workers, usable CPUs) shards go through one map of one
+    process pool, or run in this process when W = 1; each shard walks the
+    tree once for all the periods.  The records follow once every shard is
+    folded in, and only the winner of each period gets an exact numerator.
     """
     ps = [check_period(p) for p in ps]
-    workers = operator.index(workers)
+    workers = check_period(workers, "workers")
     for p in ps:
         if p > HARD_P_CAP:
             raise ValueError(f"p={p} exceeds the enumeration cap of {HARD_P_CAP}")
@@ -158,33 +158,31 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
                 f"p={p} exceeds the default cap of {DEFAULT_P_CAP};"
                 " pass allow_large=True (--allow-large-p on the command line)"
             )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not ps:
+        return
     # more processes than CPUs only add start-up cost; the result does not depend on it
     workers = min(workers, _usable_cpus())
     kind_value = ctx.kind.value
     # build the bracket tables the shards read before a worker forks: the workers
     # inherit them, so what each one computes does not depend on the jobs it gets
-    make_context(kind_value).pow_brackets(max(ps, default=1))
+    make_context(kind_value).pow_brackets(max(ps))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         run = pool.map if pool else map
-        # one job per (period, shard), in period order, all in one map
-        periods = [p for p in ps for _ in range(workers)]
-        shards = cycle(range(workers))
-        results = run(_scan_shard, repeat(kind_value), periods, shards, repeat(workers))
-        for p in ps:
-            _, _, word, ties = _best(ctx, islice(results, workers))
-            if word is None:
-                yield SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
-                continue
-            value = ctx.periodic_value(ctx.int_horner(word), p)
-            yield SurvivorRecord(p, word, value, value.decimal(digits), BRUTE, False, ties)
+        # one job per shard, each carrying every period
+        results = run(_scan_shard, repeat(kind_value), repeat(ps), range(workers), repeat(workers))
+        best = _best(ctx, chain.from_iterable(r.values() for r in results))
     finally:
         if pool is not None:
-            # a caller that stops early (an error, or close()) waits only for the
-            # running jobs, not for the periods it will never read
+            # a run stopped early (an error, or an interrupt) waits only for the running jobs
             pool.shutdown(cancel_futures=True)
+    for p in ps:
+        if p not in best:
+            yield SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
+            continue
+        _, _, word, ties = best[p]
+        value = ctx.periodic_value(ctx.int_horner(word), p)
+        yield SurvivorRecord(p, word, value, value.decimal(digits), BRUTE, False, ties)
 
 
 def brute_force_S(

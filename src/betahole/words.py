@@ -9,9 +9,8 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-import operator
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 # lexicographic comparison outcomes
 LT, EQ, GT = -1, 0, 1
@@ -26,12 +25,12 @@ def check_word(w: str) -> str:
     return w
 
 
-def check_period(p: int, name: str = "p") -> int:
-    """Validate a period: an int, not a bool, that is at least 1."""
+def check_period(p: int, name: str = "p", least: int = 1) -> int:
+    """Validate a period or a count: an int, not a bool, that is at least `least`."""
     if isinstance(p, bool) or not isinstance(p, int):
         raise TypeError(f"{name} must be an int, not {type(p).__name__}")
-    if p < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if p < least:
+        raise ValueError(f"{name} must be >= {least}")
     return p
 
 
@@ -194,12 +193,16 @@ def _exceed_automaton(below: str, n: int) -> tuple[list[int], list[bool]]:
 
 
 def primitive_representatives(
-    p: int, below: str | None = None, shard: int = 0, shards: int = 1
+    p: int, below: str | None = None, shard: int = 0, shards: int = 1,
+    lengths: Iterable[int] | None = None,
 ) -> Iterator[str]:
     """Lexicographically least rotations of the primitive binary words of length p.
 
     Yields exactly one representative per cyclic class (the Lyndon words of
-    length p), in increasing value of the word read as a binary number.
+    length p), in increasing value of the word read as a binary number.  With
+    `lengths`, periods of at most p, one walk yields the Lyndon words of every
+    one of those lengths instead, in lexicographic order (a word before its
+    extensions); the walk to length p passes all of them (Duval).
 
     With `below`, a word is skipped together with every extension of its
     prefix as soon as the prefix has a factor greater than the prefix of
@@ -210,19 +213,23 @@ def primitive_representatives(
     With `shards` > 1 the walk numbers the prefixes of length d = p - 8 that
     it reaches, in order, and enters only those whose number is shard mod
     shards; it skips the others as it skips a pruned prefix.  Each such
-    subtree holds at most 2^8 words, and for p <= 8 shard 0 takes every word.
-    The outputs for shard = 0, 1, ..., shards - 1 partition the single-shard
-    stream, each in its order.
+    subtree holds at most 2^8 words of length p, and for p <= 8 shard 0 takes
+    every word.  A word of length at most d lies above every subtree, and only
+    shard 0 yields it.  The outputs for shard = 0, 1, ..., shards - 1
+    partition the single-shard stream, each in its order.
 
-    p must be an int (not a bool) >= 1, `below`, when given, a nonempty
-    binary word, and shard and shards ints; the first next() raises
-    otherwise, before the walk starts.
+    p and every entry of a nonempty `lengths` must be ints (not bools) from 1
+    to p, `below`, when given, a nonempty binary word, and shard and shards
+    ints with 0 <= shard < shards; the first next() raises otherwise, before
+    the walk starts.
     """
     check_period(p)
+    lengths = {p} if lengths is None else {check_period(n, "length") for n in lengths}
+    if not lengths or max(lengths) > p:
+        raise ValueError(f"need one or more lengths from 1 to {p}")
     if below is not None:
         check_word(below)
-    shard, shards = operator.index(shard), operator.index(shards)
-    if not 0 <= shard < shards:
+    if check_period(shard, "shard", 0) >= check_period(shards, "shards"):
         raise ValueError("need 0 <= shard < shards")
     # one shard numbers no subtree; at p <= 8 the whole tree is shard 0's
     depth = p - 8 if shards > 1 else 0
@@ -232,15 +239,15 @@ def primitive_representatives(
     # an all-ones stream is exceeded by no word
     zero_next, one_blocked = _exceed_automaton("1" if below is None else below, p)
     # Duval / FKM: generates the binary Lyndon words of length <= p in
-    # lexicographic order; those of length exactly p are the representatives.
+    # lexicographic order; those whose length is in lengths are yielded.
     # w holds ASCII digits; state[i] is the automaton state after w[:i].
     w = bytearray(b"0")
     state = [0, zero_next[0]]
     while True:
         n = len(w)
-        if n == p:
+        if n in lengths and (n > depth or not shard):
             yield w.decode()
-        else:
+        if n < p:
             # periodic extension to length p, cut before the first pruned symbol
             for i in range(n, p):
                 bit = w[i - n]

@@ -276,6 +276,14 @@ def test_int_horner_matches_horner_by_int_mul_beta(kind):
         assert ctx.int_horner(w) == num, w
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("word", ["", "2", "102", "1_0", " 1", "0b1", "1\n", "é"])
+def test_int_horner_rejects_a_word_that_is_not_binary(kind, word):
+    # golden int_horner("2") once returned (1, 0), the numerator of "1"
+    with pytest.raises(ValueError):
+        make_context(kind).int_horner(word)
+
+
 class TestQuotientKernel:
     """One cofactor solve and one gcd form every quotient a / b."""
 

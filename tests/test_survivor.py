@@ -1,6 +1,6 @@
 import os
 from fractions import Fraction
-from itertools import permutations, starmap
+from itertools import chain, permutations, starmap
 
 import pytest
 
@@ -110,21 +110,23 @@ class TestBruteForce:
 
 
 def test_best_fold_keeps_the_earliest_word_and_sums_ties():
-    # the fold that serves both one shard's words and the merge of the shards' results;
-    # golden: 0011 and 0100 are both beta^2, 0110 and 1000 both beta^3 (x10: 26.2, 42.4)
+    # the fold that serves both one shard's words and the merge of the shards' results,
+    # one winner per word length; golden: 0011 and 0100 are both beta^2, 0110, 1000
+    # and 110 all beta^3 (x10: 26.2, 42.4), and 101 is beta^2 + 1 (x10: 36.2)
     ctx = make_context("golden")
     parts = [
-        (None, None, None, 0),
         (25, 27, "0011", 2),
         (41, 43, "0110", 1),
+        (36, 37, "101", 1),
         (42, 44, "1000", 3),
+        (41, 44, "110", 5),
         (26, 28, "0100", 1),
     ]
-    assert survivor._best(ctx, parts) == (42, 43, "0110", 4)
-    assert survivor._best(ctx, [(None, None, None, 0)]) == (None, None, None, 0)
-    # round-robin shards report out of word order; the smaller word still wins a tie
+    assert survivor._best(ctx, []) == {}
+    # round-robin shards report out of word order; the smaller word still wins a tie,
+    # and a word of another length with the same value is neither a tie nor a rival
     for order in permutations(parts):
-        assert survivor._best(ctx, order) == (42, 43, "0110", 4)
+        assert survivor._best(ctx, order) == {4: (42, 43, "0110", 4), 3: (41, 44, "110", 5)}
 
 
 @pytest.mark.parametrize(
@@ -147,18 +149,30 @@ def test_best_fold_keeps_the_earliest_word_and_sums_ties():
 def test_best_fold_settles_overlapping_brackets_exactly(parts, expected):
     ctx = make_context("golden")
     for order in permutations(parts):
-        assert survivor._best(ctx, order) == expected
+        assert survivor._best(ctx, order) == {4: expected}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_round_robin_shards_partition_the_words(kind):
-    # in-process, so shard counts above the core count are covered too
+    # in-process, so shard counts above the core count are covered too; the shards of
+    # one walk to p = 14 give every period the fold of its own single-period walk
     ctx = make_context(kind)
-    for p in range(1, 15):
-        whole = survivor._scan_shard(kind.value, p, 0, 1)
+    ps = list(range(1, 15))
+    whole = {}
+    for p in ps:
+        single = survivor._scan_shard(kind.value, [p], 0, 1)
+        whole.update(single)
         for shards in (2, 3, 7):
-            parts = [survivor._scan_shard(kind.value, p, i, shards) for i in range(shards)]
-            assert survivor._best(ctx, parts) == whole, (p, shards)
+            parts = [survivor._scan_shard(kind.value, [p], i, shards) for i in range(shards)]
+            assert merge(ctx, parts) == single, (p, shards)
+    for shards in (1, 2, 3, 7):
+        parts = [survivor._scan_shard(kind.value, ps, i, shards) for i in range(shards)]
+        assert merge(ctx, parts) == whole, shards
+
+
+def merge(ctx, parts):
+    """The fold of the shards' results, as _brute_records makes it."""
+    return survivor._best(ctx, chain.from_iterable(part.values() for part in parts))
 
 
 class InProcessPool:
@@ -229,12 +243,16 @@ def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
 
     for name in calls:
         spy(name)
-    *_, word, ties = survivor._scan_shard(kind.value, 14, 0, 1)
-    assert word == theorem_word(kind, 14) and ties == 1
+    folds = survivor._scan_shard(kind.value, range(1, 15), 0, 1)
+    for p in range(3, 15):
+        _, _, word, ties = folds[p]
+        assert word == theorem_word(kind, p) and ties == 1, p
     assert calls["int_compare"] == 0 and calls["int_horner"] <= 1, calls
 
 
-@pytest.mark.parametrize("p, workers", [(8, 2.0), (8, 1.0), (8.0, 1), (8.0, 2), (8, "2")])
+@pytest.mark.parametrize(
+    "p, workers", [(8, 2.0), (8, 1.0), (8.0, 1), (8.0, 2), (8, "2"), (8, True), (True, 2)]
+)
 def test_non_integer_period_or_workers_fail_before_any_work(monkeypatch, p, workers):
     pools = spy_pools(monkeypatch, 2)
     shards = []
@@ -285,8 +303,8 @@ class TestOnePoolPerCommand:
         base = list(survivor._brute_records(ctx, ps, 1, False, 10))
         spy_pools(monkeypatch, 8)
         assert list(survivor._brute_records(ctx, ps, workers, False, 10)) == base
-        (jobs,) = InProcessPool.maps
-        assert sorted(jobs) == [("golden", p, i, workers) for p in ps for i in range(workers)]
+        (jobs,) = InProcessPool.maps  # one job per shard, each walking for every period
+        assert jobs == [("golden", list(ps), i, workers) for i in range(workers)]
 
     def test_bracket_tables_are_built_before_any_job(self, monkeypatch):
         # forked workers inherit them, so no worker builds its own for the jobs it gets
@@ -301,9 +319,9 @@ class TestOnePoolPerCommand:
 
         monkeypatch.setattr(survivor, "_scan_shard", scan)
         list(survivor._brute_records(make_context("golden"), [3, 9, 5], 2, False, 10))
-        assert built == [9] * 6
+        assert built == [9] * 2
 
-    def test_records_stream_and_a_run_stopped_early_cancels_the_rest(self, monkeypatch):
+    def test_each_shard_runs_once_and_a_run_closed_early_has_shut_its_pool(self, monkeypatch):
         spy_pools(monkeypatch, 8)
         scanned = []
         real = survivor._scan_shard
@@ -314,7 +332,8 @@ class TestOnePoolPerCommand:
 
         monkeypatch.setattr(survivor, "_scan_shard", scan)
         records = survivor._brute_records(make_context("2"), [5, 9, 7], 3, False, 10)
-        assert next(records).p == 5 and scanned == [(5, 0), (5, 1), (5, 2)]
+        assert next(records).p == 5
+        assert scanned == [([5, 9, 7], i) for i in range(3)]
         records.close()
         assert len(scanned) == 3 and InProcessPool.shutdowns == [True]
 

@@ -276,15 +276,32 @@ class TestShardedEnumeration:
     @pytest.mark.parametrize("below", [None, "1", "10", "110", "100", "10000", "11010"])
     def test_shards_partition_the_stream(self, below):
         for p in range(1, 19):
-            whole = list(primitive_representatives(p, below))
-            for shards in (1, 2, 3, 7):
-                parts = [list(primitive_representatives(p, below, i, shards))
-                         for i in range(shards)]
-                dealt = [w for part in parts for w in part]
-                assert len(set(dealt)) == len(dealt), (p, shards)  # disjoint
-                assert all(part == sorted(part) for part in parts), (p, shards)
-                assert sorted(dealt) == whole, (p, shards)
-            assert list(primitive_representatives(p, below, 0, 1)) == whole
+            for lengths in (None, range(1, p + 1), {1, p // 2 + 1, p}):
+                whole = list(primitive_representatives(p, below, lengths=lengths))
+                # one walk yields each length as that length's own walk does, in
+                # lexicographic order: a word before its extensions
+                assert whole == sorted(whole), p
+                for n in lengths or ():
+                    own = list(primitive_representatives(n, below))
+                    assert [w for w in whole if len(w) == n] == own, (p, n)
+                for shards in (1, 2, 3, 7):
+                    parts = [list(primitive_representatives(p, below, i, shards, lengths))
+                             for i in range(shards)]
+                    dealt = [w for part in parts for w in part]
+                    assert len(set(dealt)) == len(dealt), (p, shards)  # disjoint
+                    assert all(part == sorted(part) for part in parts), (p, shards)
+                    assert sorted(dealt) == whole, (p, shards)
+                    # a word no longer than the dealing depth p - 8 is above every subtree
+                    assert all(len(w) > p - 8 for part in parts[1:] for w in part), (p, shards)
+
+    @pytest.mark.parametrize(
+        "lengths, error",
+        [([True], TypeError), ([5, True], TypeError), (["3"], TypeError), ([3.0], TypeError),
+         ([0], ValueError), ([5, 13], ValueError), ([], ValueError)],
+    )
+    def test_rejects_a_length_outside_the_walk(self, lengths, error):
+        with pytest.raises(error):
+            next(primitive_representatives(12, None, 0, 2, lengths))
 
     @pytest.mark.parametrize("shards", [2, 3, 7])
     def test_each_shard_takes_the_subtrees_of_its_rank(self, shards):
@@ -310,8 +327,10 @@ class TestShardedEnumeration:
         with pytest.raises(ValueError):
             list(primitive_representatives(5, None, shard, shards))
 
-    @pytest.mark.parametrize("shard, shards", [(0.5, 2), (0, 2.0), (1.0, 2)])
+    @pytest.mark.parametrize(
+        "shard, shards", [(0.5, 2), (0, 2.0), (1.0, 2), (True, 2), (0, True), (True, True)]
+    )
     def test_rejects_a_shard_that_is_not_an_int(self, shard, shards):
-        # shard 0.5 of 2 once yielded nothing, and shards = 2.0 dealt as 2
+        # shard 0.5 of 2 once yielded nothing, shards = 2.0 dealt as 2, and True as 1
         with pytest.raises(TypeError):
             next(primitive_representatives(12, None, shard, shards))
