@@ -15,7 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numberfield import BetaContext, FieldElement
-from .words import PeriodicSeq, check_word, lex_min_rotation, rotations, smallest_period
+from .words import (
+    PeriodicSeq, check_period, check_word, lex_min_rotation, passing_factors, rotations,
+    smallest_period,
+)
 
 
 def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
@@ -41,8 +44,7 @@ def t_beta(x: FieldElement, ctx: BetaContext) -> FieldElement:
 
 def greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> str:
     """First n digits of the greedy expansion of x in [0, 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_period(n, "n")
     _require_unit_interval(x)
     digits = []
     r = x
@@ -60,8 +62,7 @@ def quasi_greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> "PeriodicS
     in 0^inf.  Returns an exact PeriodicSeq when the remainder orbit hits zero
     or cycles within n steps, otherwise the n-digit greedy prefix.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_period(n, "n")
     if x.sign() == 0:
         raise ValueError("0 has no expansion avoiding a 0^inf tail")
     _require_unit_interval(x, allow_zero=False)
@@ -105,14 +106,14 @@ def _delta_window(p: int, dper: str) -> tuple[int, str, int, tuple[str, ...]]:
 
     A rotation r is admissible iff r * reps < stream, both n = lcm(p, len(dper))
     symbols long: past n, r^inf and delta(beta) = (dper)^inf both repeat.  Some
-    rotation of w fails iff w * copies contains a factor: stream[:j] + "1" with
-    stream[j] == "0" and none of the others inside (so j < len(dper)), or
-    stream[:p] when a rotation's power can equal delta.
+    rotation of w fails iff w * copies contains a factor: one of
+    passing_factors(dper), the set that also prunes the Lyndon walk, or
+    stream[:p] when a rotation's power can equal delta.  That last one decides
+    only whole words, so the walk does not prune by it.
     """
     n = math.lcm(p, len(dper))
     reps, stream = n // p, dper * (n // len(dper))
-    passes = [dper[:j] + "1" for j, c in enumerate(dper) if c == "0"]
-    factors = tuple(f for f in passes if not any(g != f and g in f for g in passes))
+    factors = passing_factors(dper)
     if stream[:p] * reps == stream:
         factors += (stream[:p],)
     return reps, stream, (2 * p - 2 + max(map(len, factors))) // p, factors
@@ -131,7 +132,8 @@ def _exceeds_delta(w: str, dper: str) -> bool:
 def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
     """Check every rotation of w against delta(beta); report the smallest failing offset.
 
-    The verdict is a search for delta's failing factors in w^inf
+    The verdict is a search in w^inf for delta's passing factors, the ones
+    that also prune the Lyndon walk, and for delta's own period
     (_exceeds_delta); the offsets are searched only when it fails.
     """
     check_word(w)

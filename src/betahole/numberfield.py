@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress
 
-from .words import PeriodicSeq, as_seq, check_word
+from .words import PeriodicSeq, as_seq, check_period, check_word
 
 NEG, ZERO, POS = -1, 0, 1
 
@@ -454,7 +454,7 @@ class FieldElement:
         Rounds half away from zero, exactly, at any magnitude: refines the root
         interval until both ends round to the same string (at once for a rational).
         """
-        if not 1 <= digits <= MAX_DIGITS:
+        if not 1 <= check_period(digits, "digits", -math.inf) <= MAX_DIGITS:
             raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
         s = 64
         while s < digits * 10 // 3 + 16:  # log2(10) < 10/3 bits per digit, plus a guard

@@ -165,31 +165,17 @@ def shift(s: "PeriodicSeq | str") -> PeriodicSeq:
     return as_seq(s).shift()
 
 
-def _exceed_automaton(below: str, n: int) -> tuple[list[int], list[bool]]:
-    """Prefix automaton of the first n symbols of (below)^inf.
+def passing_factors(below: str) -> tuple[str, ...]:
+    """The factor-minimal words below[:j] + "1" with below[j] == "0".
 
-    Its state after reading a word is the length m of the longest suffix of
-    the word that is a prefix of the stream (Knuth-Morris-Pratt).  Reading
-    "0" moves to zero_next[m].  Reading "1" gives the word a factor greater
-    than the stream prefix of the same length exactly when one_blocked[m];
-    otherwise it moves to m + 1.  States 0..n-1 are defined.
+    A word has a factor greater than the prefix of (below)^inf of the same
+    length exactly when it contains one of these: such a factor first exceeds
+    the stream with a 1 over a 0, and one that does so at j >= len(below)
+    contains the one at j - len(below).  Each ends in "1", and "1" itself
+    passes when below starts with 0.
     """
-    stream = (below * (n // len(below) + 1))[:n]
-    fail = [0] * n  # fail[m]: longest proper border of stream[:m], for m >= 1
-    for m in range(2, n):
-        k = fail[m - 1]
-        while k and stream[k] != stream[m - 1]:
-            k = fail[k]
-        fail[m] = k + 1 if stream[k] == stream[m - 1] else 0
-    zero_next = [0] * n
-    one_blocked = [False] * n
-    for m in range(n):
-        # the suffixes that match a stream prefix are the border chain m, fail[m], ..., 0
-        if stream[m] == "0":
-            zero_next[m], one_blocked[m] = m + 1, True
-        elif m:
-            zero_next[m], one_blocked[m] = zero_next[fail[m]], one_blocked[fail[m]]
-    return zero_next, one_blocked
+    passes = [below[:j] + "1" for j, c in enumerate(below) if c == "0"]
+    return tuple(f for f in passes if not any(g != f and g in f for g in passes))
 
 
 def primitive_representatives(
@@ -205,10 +191,11 @@ def primitive_representatives(
     extensions); the walk to length p passes all of them (Duval).
 
     With `below`, a word is skipped together with every extension of its
-    prefix as soon as the prefix has a factor greater than the prefix of
-    (below)^inf of the same length: the rotation starting at that factor
-    already exceeds (below)^inf.  Output stays in the same order, so with
-    below = delta(beta) every admissible class is still yielded.
+    prefix as soon as the prefix contains one of passing_factors(below), a
+    factor greater than the prefix of (below)^inf of the same length: the
+    rotation starting at that factor already exceeds (below)^inf.  Output
+    stays in the same order, so with below = delta(beta) every admissible
+    class is still yielded.
 
     With `shards` > 1 the walk numbers the prefixes of length d = p - 8 that
     it reaches, in order, and enters only those whose number is shard mod
@@ -236,47 +223,37 @@ def primitive_representatives(
     if depth < 1 and shard:
         return
     rank = -1
-    # an all-ones stream is exceeded by no word
-    zero_next, one_blocked = _exceed_automaton("1" if below is None else below, p)
+    # an all-ones stream is exceeded by no word; w never holds a passing factor,
+    # so appending a 1 makes one exactly when w ends with a factor's stem
+    factors = [f.encode() for f in passing_factors("1" if below is None else below)]
+    stems = tuple(f[:-1] for f in factors)
     # Duval / FKM: generates the binary Lyndon words of length <= p in
     # lexicographic order; those whose length is in lengths are yielded.
-    # w holds ASCII digits; state[i] is the automaton state after w[:i].
+    # w holds ASCII digits.
     w = bytearray(b"0")
-    state = [0, zero_next[0]]
     while True:
         n = len(w)
         if n in lengths and (n > depth or not shard):
             yield w.decode()
         if n < p:
-            # periodic extension to length p, cut before the first pruned symbol
-            for i in range(n, p):
-                bit = w[i - n]
-                m = state[-1]
-                if bit == 48:
-                    state.append(zero_next[m])
-                elif one_blocked[m]:
-                    break
-                else:
-                    state.append(m + 1)
-                w.append(bit)
+            # periodic extension to length p, cut before the last symbol of the
+            # first passing factor that ends past w[:n]
+            w *= p // n + 1
+            del w[p:]
+            for f in factors:
+                if (k := w.find(f, max(n + 1 - len(f), 0))) >= 0:
+                    del w[k + len(f) - 1 :]
             # an extension from n <= depth to depth or more enters a new subtree
             # w[:depth]; the subtrees are dealt round-robin, another shard's is pruned
             if n <= depth <= len(w) and (rank := rank + 1) % shards != shard:
                 del w[depth:]
-                del state[depth + 1 :]
         # next Lyndon word: drop trailing ones and turn the last zero into a
         # one.  If that prefix is pruned, so is every word up to the next
         # candidate, since all of them extend it: continue from the shorter prefix.
         while True:
-            while w and w[-1] == 49:
-                w.pop()
-                state.pop()
-            if not w:
+            if not (k := len(w.rstrip(b"1"))):
                 return
-            w.pop()
-            state.pop()
-            m = state[-1]
-            if not one_blocked[m]:
+            del w[k - 1 :]
+            if not w.endswith(stems):
                 w.append(49)
-                state.append(m + 1)
                 break

@@ -140,6 +140,17 @@ class TestGreedy:
                     assert gap.sign() >= 0
                     assert (gap * ctx.beta_pow(n) - 1).sign() < 0
 
+    @pytest.mark.parametrize("digits", [greedy_digits, quasi_greedy_digits])
+    def test_rejects_a_digit_count_that_is_not_a_positive_int(self, digits):
+        # n = True once gave one digit, and 2.0 failed deep inside range()
+        ctx = make_context("golden")
+        x = ctx.from_rational(Fraction(1, 3))
+        with pytest.raises(ValueError):
+            digits(x, ctx, 0)
+        for n in (True, 2.0):
+            with pytest.raises(TypeError):
+                digits(x, ctx, n)
+
 
 class TestQuasiGreedy:
     def test_half_in_base2(self):

@@ -369,6 +369,13 @@ class TestDecimal:
         text = b.decimal(numberfield.MAX_DIGITS)
         assert text.startswith("1.6180339887") and len(text) == 1 + numberfield.MAX_DIGITS
 
+    @pytest.mark.parametrize("digits", [2.5, True, "3"])
+    def test_rejects_a_digit_count_that_is_not_an_int(self, digits):
+        # 2.5 once rendered "0.105.0", and True the one digit "0.3"
+        x = make_context("golden").from_rational(Fraction(1, 3))
+        with pytest.raises(TypeError):
+            x.decimal(digits)
+
     def test_scale_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numberfield, "_MAX_SCALE_BITS", 64)  # small stand-in
         b = make_context("golden").beta()

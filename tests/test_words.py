@@ -1,16 +1,18 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from betahole.expansions import is_admissible
+from betahole.expansions import _exceeds_delta, is_admissible
 from betahole.numberfield import BetaKind, make_context
 from betahole.words import (
     EQ,
     GT,
     LT,
     PeriodicSeq,
-    _exceed_automaton,
     lex_compare,
     lex_min_rotation,
+    passing_factors,
     primitive_representatives,
     rotations,
     shift,
@@ -225,22 +227,13 @@ def exceeds_naively(w, below):
 
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("below", ["1", "10", "110", "100", "1010011", "0", "01"])
-    def test_automaton_matches_naive_factor_check(self, below):
-        n = 10
-        zero_next, one_blocked = _exceed_automaton(below, n)
-        stream = below * (n // len(below) + 1)
-        for w in (format(v, f"0{k}b") for k in range(1, n + 1) for v in range(1 << k)):
-            m, blocked = 0, False
-            for i, ch in enumerate(w):
-                if ch == "1" and one_blocked[m]:
-                    blocked = True
-                    break
-                m = zero_next[m] if ch == "0" else m + 1
-                # the state is the longest suffix of the prefix read that starts the stream
-                assert m == max(k for k in range(i + 2) if w[: i + 1].endswith(stream[:k])), w
-            assert blocked == exceeds_naively(w, below), w
+    def test_passing_factors_match_naive_factor_check(self, below):
+        factors = passing_factors(below)
+        for w in (format(v, f"0{k}b") for k in range(1, 11) for v in range(1 << k)):
+            assert any(f in w for f in factors) == exceeds_naively(w, below), w
 
-    @pytest.mark.parametrize("below", ["1", "10", "110", "100", "1010011"])
+    # a stream that starts with 0 passes "1" itself, whose empty stem blocks every 1
+    @pytest.mark.parametrize("below", ["1", "10", "110", "100", "1010011", "0", "01"])
     def test_pruned_output_is_the_words_without_an_exceeding_factor(self, below):
         for p in range(1, 13):
             assert list(primitive_representatives(p, below=below)) == [
@@ -270,6 +263,27 @@ class TestPrunedEnumeration:
             for kind in ("golden", "tribonacci")
         }
         assert yielded == {"golden": 2171, "tribonacci": 23034}
+
+    @pytest.mark.parametrize(
+        "kind, a",
+        [("2", [[2]]), ("golden", [[1, 1], [1, 0]]),
+         ("tribonacci", [[1, 1, 0], [1, 0, 1], [1, 0, 0]])],
+    )
+    def test_admitted_counts_match_the_closed_count(self, kind, a):
+        # a cyclic word avoids delta's passing factors iff it is a closed walk in
+        # the graph a, whose states are the trailing run of 1s; the classes are
+        # counted by Moebius inversion of tr(a^d).  The one class whose power is
+        # delta itself (p = len(dper)) is not admitted either.
+        dper, pmax = make_context(kind).delta.period, 20
+        walk = primitive_representatives(pmax, dper, lengths=range(1, pmax + 1))
+        admitted = Counter(len(w) for w in walk if not _exceeds_delta(w, dper))
+        traces, power = [], a
+        for _ in range(pmax):
+            traces.append(sum(power[i][i] for i in range(len(a))))
+            power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+        for p in range(1, pmax + 1):
+            closed = sum(mobius(p // d) * traces[d - 1] for d in range(1, p + 1) if p % d == 0)
+            assert admitted[p] == closed // p - (p == len(dper)), (kind, p)
 
 
 class TestShardedEnumeration:
