@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .numberfield import BetaContext, FieldElement
+from .numberfield import BetaContext, FieldElement, eval_periodic
 from .words import (
     PeriodicSeq, check_period, check_word, lex_min_rotation, passing_factors, rotations,
     smallest_period,
@@ -214,7 +214,7 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
         raise ValueError(f"{w} is not primitive: its smallest period is {q}")
     least = lex_min_rotation(w)
     orbit_min_bounds(least, ctx)
-    return least, ctx.periodic_value(ctx.int_horner(least), len(w))
+    return least, eval_periodic(least, ctx)
 
 
 def survives(w: str, t, ctx: BetaContext) -> bool:

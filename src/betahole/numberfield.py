@@ -10,8 +10,8 @@ negative power of beta and num/(beta^p - 1), is one cofactor solve: a's
 matrix times the first-row cofactors of b's, normalized by one gcd.  Signs and
 decimals use no floating point: the numerators are bracketed with a dyadic
 isolating interval for the root, refined by bisection until the sign is
-definite or both ends round, by integer division, to the same decimal.  Base
-2 is carried as a degree-1 field so every kind runs through the same code path.
+definite or both ends round, by integer division, to the same decimal, in
+one refinement loop.  Base 2 is a degree-1 field, so every kind runs one path.
 """
 
 from __future__ import annotations
@@ -226,20 +226,24 @@ class BetaContext:
                 hi += c * a
         return lo, hi
 
+    def _refine(self, ints: tuple[int, ...], s: int = 64):
+        """Yield (*bracket(ints, s), s) for s, 2s, 4s, ... <= _MAX_SCALE_BITS, then raise
+        RuntimeError; the caller stops at the first bracket that decides its question."""
+        while s <= _MAX_SCALE_BITS:
+            yield (*self.bracket(ints, s), s)
+            s *= 2
+        raise RuntimeError("refinement exceeded the scale cap")
+
     def int_sign(self, coeffs: tuple[int, ...]) -> int:
         """Sign of an integer-coefficient element; exact, no floating point."""
         if not any(coeffs[1:]):
             c = coeffs[0]
             return POS if c > 0 else NEG if c else ZERO
-        s = 64
-        while s <= _MAX_SCALE_BITS:
-            lo, hi = self.bracket(coeffs, s)
+        for lo, hi, _ in self._refine(coeffs):
             if lo > 0:
                 return POS
             if hi < 0:
                 return NEG
-            s *= 2
-        raise RuntimeError("sign refinement exceeded the scale cap")
 
     def int_compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         return self.int_sign(tuple(map(operator.sub, a, b)))
@@ -326,6 +330,8 @@ class FieldElement:
     def _store(self, ctx: BetaContext, ints, den: int) -> None:
         if len(ints) != ctx.degree:
             raise ValueError("coefficient count must equal the field degree")
+        if den < 1:
+            raise ValueError(f"a denominator must be >= 1, got {den}")
         g = math.gcd(den, *ints)
         self.ctx = ctx
         self.nums = tuple(c // g for c in ints) if g > 1 else tuple(ints)
@@ -459,14 +465,11 @@ class FieldElement:
         s = 64
         while s < digits * 10 // 3 + 16:  # log2(10) < 10/3 bits per digit, plus a guard
             s *= 2
-        while s <= _MAX_SCALE_BITS:
-            lo, hi = self.ctx.bracket(self.nums, s)
+        for lo, hi, s in self.ctx._refine(self.nums, s):
             den = self.den << s * (self.ctx.degree - 1)
             text = _decimal_of_ratio(lo, den, digits)
             if lo == hi or _decimal_of_ratio(hi, den, digits) == text:
                 return text
-            s *= 2
-        raise RuntimeError("decimal refinement exceeded the scale cap")
 
     def __float__(self) -> float:
         return float(self.decimal(17))

@@ -98,28 +98,18 @@ def _scan_shard(kind_value: str, periods, shard: int, shards: int) -> dict:
     the pruned enumeration; pure, fork-safe.
 
     One walk to the largest period yields the words of every period.  Returns
-    the _best fold, by period, of (low, top, least rotation, 1) for every
-    admitted word, with the bounds of orbit_min_bounds, so no exact numerator
-    is built unless two brackets overlap.  The shard walks only the small
-    subtrees dealt to it round-robin, which balances the shards: every Lyndon
-    word of length >= 2 starts with 0, so a split by value would leave all of
-    them in the first shard.
+    the _best fold, by period, of (*orbit_min_bounds(w), w, 1) for every
+    admitted word w.  The walker's word is its class's least rotation, which
+    orbit_min_bounds takes as given and certifies; no exact numerator is built
+    unless two brackets overlap.  The shard walks only the small subtrees
+    dealt to it round-robin, which balances the shards: every Lyndon word of
+    length >= 2 starts with 0, so a split by value would leave all of them in
+    the first shard.
     """
     ctx = make_context(kind_value)
     # pruning by delta(beta) drops only inadmissible words; orbit_min_bounds checks the rest
     words = primitive_representatives(max(periods), ctx.delta.period, shard, shards, periods)
-    return _best(ctx, _candidates(ctx, words))
-
-
-def _candidates(ctx: BetaContext, words):
-    """(low, top, w, 1) for each admissible word w, by orbit_min_bounds.
-
-    The words are the walk's Lyndon words, each its class's least rotation,
-    which orbit_min_bounds takes as given and certifies.
-    """
-    for w in words:
-        if (bounds := orbit_min_bounds(w, ctx)) is not None:
-            yield (*bounds, w, 1)
+    return _best(ctx, ((*b, w, 1) for w in words if (b := orbit_min_bounds(w, ctx)) is not None))
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -177,12 +167,16 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
             # a run stopped early (an error, or an interrupt) waits only for the running jobs
             pool.shutdown(cancel_futures=True)
     for p in ps:
-        if p not in best:
-            yield SurvivorRecord(p, None, ctx.zero(), "0", BRUTE, True, 0)
-            continue
-        _, _, word, ties = best[p]
-        value = ctx.periodic_value(ctx.int_horner(word), p)
-        yield SurvivorRecord(p, word, value, value.decimal(digits), BRUTE, False, ties)
+        _, _, word, ties = best.get(p, (0, 0, None, 0))
+        yield _word_record(ctx, p, word, BRUTE, ties, digits)
+
+
+def _word_record(ctx: BetaContext, p: int, word, method: str, ties: int, digits: int):
+    """The record of period p whose critical word is word; None is the empty S = 0 record."""
+    if word is None:
+        return SurvivorRecord(p, None, ctx.zero(), "0", method, True, 0)
+    value = eval_periodic(word, ctx)
+    return SurvivorRecord(p, word, value, value.decimal(digits), method, False, ties)
 
 
 def brute_force_S(
@@ -239,12 +233,7 @@ def theorem_word(kind: "BetaKind | str", p: int) -> str | None:
 
 
 def theorem_record(kind: "BetaKind | str", p: int, digits: int = 10) -> SurvivorRecord:
-    ctx = make_context(kind)
-    w = theorem_word(kind, p)
-    if w is None:
-        return SurvivorRecord(p, None, ctx.zero(), "0", THEOREM, True, 0)
-    value = eval_periodic(w, ctx)
-    return SurvivorRecord(p, w, value, value.decimal(digits), THEOREM, False, 1)
+    return _word_record(make_context(kind), p, theorem_word(kind, p), THEOREM, 1, digits)
 
 
 # kind -> (uncovered periods, [(step, offset, f)]).  For p = step*z + offset the
@@ -347,6 +336,11 @@ def cross_check(
     rows: list[CrossCheckRow] = []
     theorem_bad: list[str] = []
     formula_bad: list[str] = []
+
+    def row(rec: SurvivorRecord, agrees: bool) -> None:
+        w, exact = rec.word or "", rec.value.serialize()
+        rows.append(CrossCheckRow(rec.p, rec.method, w, exact, rec.value_float, agrees))
+
     # one pool serves every period of this kind
     for brec in _brute_records(ctx, range(1, p_max + 1), workers, allow_large, digits):
         p = brec.p
@@ -359,15 +353,8 @@ def cross_check(
                 f"{kind.value} p={p}: brute word={brec.word} S={brec.value.serialize()}"
                 f" vs theorem word={trec.word} S={reference.serialize()}"
             )
-        rows.append(
-            CrossCheckRow(
-                p, BRUTE, brec.word or "", brec.value.serialize(), brec.value_float,
-                value_ok and word_ok,
-            )
-        )
-        rows.append(
-            CrossCheckRow(p, THEOREM, trec.word or "", reference.serialize(), trec.value_float, True)
-        )
+        row(brec, value_ok and word_ok)
+        row(trec, True)
         crec = closed_record(kind, p, digits)
         if crec is not None:
             formula_ok = crec.value == reference
@@ -377,7 +364,5 @@ def cross_check(
                     f"{kind.value} p={p} ({tag}): closed form {crec.value.serialize()}"
                     f" vs theorem word value {reference.serialize()}"
                 )
-            rows.append(
-                CrossCheckRow(p, CLOSED, "", crec.value.serialize(), crec.value_float, formula_ok)
-            )
+            row(crec, formula_ok)
     return CrossCheckReport(kind, p_max, tuple(rows), tuple(theorem_bad), tuple(formula_bad))

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 # lexicographic comparison outcomes
 LT, EQ, GT = -1, 0, 1
 
-_SEQ_RE = re.compile(r"^([01]*)\(([01]+)\)$")
+_SEQ_RE = re.compile(r"([01]*)\(([01]+)\)")
 
 
 def check_word(w: str) -> str:
@@ -35,13 +35,9 @@ def check_period(p: int, name: str = "p", least: int = 1) -> int:
 
 
 def smallest_period(w: str) -> int:
-    """Least q dividing len(w) such that w is the (len/q)-fold repeat of w[:q]."""
-    check_word(w)
-    n = len(w)
-    for q in range(1, n + 1):
-        if n % q == 0 and w == w[:q] * (n // q):
-            return q
-    return n  # unreachable; q = n always matches
+    """Least q dividing len(w) such that w is the (len/q)-fold repeat of w[:q]: the
+    first return of w in w + w, as w's rotation by q is then one by gcd(q, len(w))."""
+    return (check_word(w) * 2).find(w, 1)
 
 
 def rotations(w: str) -> list[str]:
@@ -129,7 +125,7 @@ class PeriodicSeq:
     @classmethod
     def parse(cls, text: str) -> "PeriodicSeq":
         """Parse the pre(period) serialization, e.g. '1(0)' or '(01)'."""
-        m = _SEQ_RE.match(text)
+        m = _SEQ_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"not a pre(period) sequence: {text!r}")
         return cls(m.group(1), m.group(2))

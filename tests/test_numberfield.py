@@ -160,6 +160,15 @@ class TestRepresentation:
         assert q in {x}
         assert x in {q}
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_rejects_a_denominator_below_one(self, kind, den):
+        # den = -1 once stored 1/-1: sign() said 1 for the value -1, == -1 was
+        # False, and decimal() searched for the exponent forever
+        ctx = make_context(kind)
+        with pytest.raises(ValueError, match="denominator"):
+            FieldElement.from_int_coeffs(ctx, (1,) + (0,) * (ctx.degree - 1), den)
+
     def test_inverse_with_negative_norm(self):
         # N(beta) = -1 for golden, so Cramer's determinant is negative
         ctx = make_context("golden")
@@ -186,6 +195,22 @@ class TestSign:
         assert x.sign() == ZERO
         assert (x + Fraction(1, 10**30)).sign() == POS
         assert (x - Fraction(1, 10**30)).sign() == NEG
+
+    def test_scale_cap_raises(self, monkeypatch):
+        # F(n)*b - F(n+1) = -(-1/b)**n for golden b: its numerators are about
+        # b**n, and its value b**-n shrinks, so deciding it takes about 1.4n bits
+        fib = [0, 1]
+        while len(fib) < 62:
+            fib.append(fib[-1] + fib[-2])
+        ctx = make_context("golden")
+        b = ctx.beta()
+        deep, shallow = fib[60] * b - fib[61], fib[40] * b - fib[41]
+        assert deep == -ctx.beta_pow(-60)
+        assert deep.sign() == NEG  # at the real cap
+        monkeypatch.setattr(numberfield, "_MAX_SCALE_BITS", 64)  # small stand-in
+        assert shallow.sign() == NEG  # one 64-bit bracket is enough
+        with pytest.raises(RuntimeError):
+            deep.sign()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sign_matches_20_digit_decimal(self, kind):

@@ -69,6 +69,16 @@ class TestSmallestPeriod:
         assert len(w) % q == 0
         assert w == w[:q] * (len(w) // q)
 
+    def test_least_on_every_short_word(self):
+        def divisor_loop(w):  # the least divisor q of len(w) with w a power of w[:q]
+            n = len(w)
+            return next(q for q in range(1, n + 1) if n % q == 0 and w == w[:q] * (n // q))
+
+        for n in range(1, 15):
+            for k in range(2**n):
+                w = format(k, f"0{n}b")
+                assert smallest_period(w) == divisor_loop(w), w
+
     @given(words)
     def test_invariant_under_lex_min_rotation(self, w):
         assert smallest_period(lex_min_rotation(w)) == smallest_period(w)
@@ -95,8 +105,9 @@ class TestPeriodicSeq:
     def test_parse_and_str(self):
         for text in ("1(0)", "(01)", "00(110)"):
             assert str(PeriodicSeq.parse(text)) == text
-        with pytest.raises(ValueError):
-            PeriodicSeq.parse("10")
+        for bad in ("10", "1(0)\n", "(01)\n"):  # a trailing newline once parsed
+            with pytest.raises(ValueError):
+                PeriodicSeq.parse(bad)
 
     def test_symbols(self):
         s = PeriodicSeq("10", "011")
