@@ -7,8 +7,11 @@ Exit codes: 0 success / all paths agree, 1 I/O error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import chain, islice
 
 from .numberfield import MAX_DIGITS, BetaKind, make_context
 from .survivor import (
@@ -25,38 +28,55 @@ from .survivor import (
 )
 
 TABLE_HEADER = "p,word,exact,float,method"
+# rows rendered and written at a time: a table holds one block, not all its rows
+BLOCK_ROWS = 64
 
 _METHOD_FLAGS = {"brute": BRUTE, "theorem": THEOREM, "closed": CLOSED}
 
 
-def _records(method: str, kind: BetaKind, ps, args) -> list[SurvivorRecord]:
+def _records(method: str, kind: BetaKind, ps, args) -> Iterator[SurvivorRecord]:
     """One method's records for the periods ps, skipping those without a closed form."""
     if method == BRUTE:
-        return list(
-            _brute_records(make_context(kind), ps, args.workers, args.allow_large_p, args.digits)
-        )
+        return _brute_records(make_context(kind), ps, args.workers, args.allow_large_p, args.digits)
     if method == THEOREM:
-        return [theorem_record(kind, p, digits=args.digits) for p in ps]
-    return [r for p in ps if (r := closed_record(kind, p, digits=args.digits)) is not None]
+        return (theorem_record(kind, p, digits=args.digits) for p in ps)
+    return (r for p in ps if (r := closed_record(kind, p, digits=args.digits)) is not None)
 
 
-def _render(records: list[SurvivorRecord], kind: BetaKind, fmt: str) -> str:
-    """The text or csv body of a list of records."""
-    if fmt == "text":
-        return "\n".join(r.describe(kind) for r in records) + "\n"
-    rows = (
-        f"{r.p},{r.word or ''},{r.value.serialize()},{r.value_float},{r.method}" for r in records
-    )
-    return "\n".join([TABLE_HEADER, *rows]) + "\n"
+def _render(records: Iterable[SurvivorRecord], kind: BetaKind, fmt: str) -> Iterator[str]:
+    """The text or csv body of the records, in chunks of at most BLOCK_ROWS rows.
+
+    The first chunk is the header with the first block, so nothing is yielded
+    before the first record is made.
+    """
+
+    def line(r: SurvivorRecord) -> str:
+        if fmt == "text":
+            return f"{r.describe(kind)}\n"
+        return f"{r.p},{r.word or ''},{r.value.serialize()},{r.value_float},{r.method}\n"
+
+    head = "" if fmt == "text" else f"{TABLE_HEADER}\n"
+    rows = iter(records)
+    blocks = iter(lambda: "".join(map(line, islice(rows, BLOCK_ROWS))), "")
+    # with no rows, a text table is one empty line and a csv table its header
+    yield head + next(blocks, "" if head else "\n")
+    yield from blocks
 
 
-def _emit(text: str, out_path: str | None) -> int:
+def _emit(chunks: Iterable[str], out_path: str | None) -> int:
+    """Write the chunks to stdout or to out_path; 1 if out_path cannot be written.
+
+    The first chunk is made before out_path is opened, so an error raised
+    while making it leaves no file.
+    """
+    rest = iter(chunks)
+    chunks = chain((next(rest, ""),), rest)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 1
@@ -117,10 +137,11 @@ def cmd_table(args) -> int:
     records = _records(_METHOD_FLAGS[args.method], kind, range(1, args.pmax + 1), args)
     if args.format != "svg":
         return _emit(_render(records, kind, args.format), args.out)
+    points = [(r.p, r.value_float) for r in records]
     span = f"beta={kind.value}, p=1..{args.pmax}"
-    if not records:
+    if not points:
         raise ValueError(f"nothing to plot: the {args.method} method has no values for {span}")
-    return _emit(_svg([(r.p, r.value_float) for r in records], f"S(p) for {span}"), args.out)
+    return _emit([_svg(points, f"S(p) for {span}")], args.out)
 
 
 def cmd_verify(args) -> int:
@@ -144,7 +165,7 @@ def cmd_verify(args) -> int:
         lines.extend(mismatches)
     else:
         lines.append(f"ok: all paths agree for all kinds up to p={args.pmax}")
-    status = _emit("\n".join(lines) + "\n", args.out)
+    status = _emit(["\n".join(lines) + "\n"], args.out)
     if status != 0:
         return status
     return 3 if mismatches else 0
@@ -204,6 +225,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit(2)
+    except BrokenPipeError:
+        # the reader closed stdout: stop, and point stdout at devnull so that
+        # the interpreter's last flush of the buffered rest cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import betahole.cli as cli_mod
 from betahole.cli import MAX_DIGITS, main
-from betahole.survivor import MAX_P
+from betahole.survivor import MAX_P, closed_record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -140,6 +146,49 @@ class TestTableCommand:
             ["table", "--beta", "2", "--pmax", "3", "--out", "/nonexistent/dir/t.csv"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--beta", "2", "--method", "brute", "--pmax", "21"],
+            ["table", "--beta", "tribonacci", "--pmax", "1", "--method", "closed", "--format", "svg"],
+        ],
+    )
+    def test_usage_error_creates_no_out_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "table.out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(target)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+    def test_rows_are_written_a_block_at_a_time(self, monkeypatch):
+        # one log, in order, of each record made (its p) and each write (None)
+        log = []
+
+        def logged_record(kind, p, digits=10):
+            record = closed_record(kind, p, digits=digits)
+            if record is not None:
+                log.append(p)
+            return record
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                log.append(None)
+                return super().write(text)
+
+        sink = Sink()
+        monkeypatch.setattr(cli_mod, "closed_record", logged_record)
+        monkeypatch.setattr(sys, "stdout", sink)
+        argv = ["table", "--beta", "golden", "--pmax", "300", "--method", "closed", "--format", "csv"]
+        assert main(argv) == 0
+        ahead = 0
+        for entry in log:
+            ahead = 0 if entry is None else ahead + 1
+            assert ahead <= cli_mod.BLOCK_ROWS, "more than one block made before a write"
+        made = [p for p in log if p is not None]
+        assert len(made) == 299 and made == sorted(made) and log[-1] is None
+        assert sink.getvalue().count("\n") == 1 + len(made)
 
 
 class TestVerifyCommand:
@@ -291,3 +340,23 @@ def test_stdout_matches_the_pinned_digests(capsys):
         assert code == 0, argv
         digests[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == pinned
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    argv = ["table", "--beta", "2", "--pmax", "6000", "--method", "closed", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "betahole", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    try:
+        assert proc.stdout.readline() == b"p,word,exact,float,method\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 1
+    assert "Traceback" not in stderr
