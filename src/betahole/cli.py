@@ -11,13 +11,15 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from .numberfield import MAX_DIGITS, BetaKind, make_context
 from .survivor import (
     BRUTE,
     CLOSED,
     CSV_HEADER,
+    DEFAULT_P_CAP,
+    HARD_P_CAP,
     MAX_P,
     THEOREM,
     SurvivorRecord,
@@ -28,8 +30,6 @@ from .survivor import (
 )
 
 TABLE_HEADER = "p,word,exact,float,method"
-# rows rendered and written at a time: a table holds one block, not all its rows
-BLOCK_ROWS = 64
 
 _METHOD_FLAGS = {"brute": BRUTE, "theorem": THEOREM, "closed": CLOSED}
 
@@ -44,39 +44,36 @@ def _records(method: str, kind: BetaKind, ps, args) -> Iterator[SurvivorRecord]:
 
 
 def _render(records: Iterable[SurvivorRecord], kind: BetaKind, fmt: str) -> Iterator[str]:
-    """The text or csv body of the records, in chunks of at most BLOCK_ROWS rows.
+    """The text or csv lines of the records, one line per record as it is made.
 
-    The first chunk is the header with the first block, so nothing is yielded
-    before the first record is made.
+    A csv header is joined to the first row, so nothing is yielded before the
+    first record is made.
     """
-
-    def line(r: SurvivorRecord) -> str:
-        if fmt == "text":
-            return f"{r.describe(kind)}\n"
-        return f"{r.p},{r.word or ''},{r.value.serialize()},{r.value_float},{r.method}\n"
-
+    if fmt == "text":
+        lines = (f"{r.describe(kind)}\n" for r in records)
+    else:
+        lines = (f"{r.p},{r.word or ''},{r.value.serialize()},{r.value_float},{r.method}\n" for r in records)
     head = "" if fmt == "text" else f"{TABLE_HEADER}\n"
-    rows = iter(records)
-    blocks = iter(lambda: "".join(map(line, islice(rows, BLOCK_ROWS))), "")
     # with no rows, a text table is one empty line and a csv table its header
-    yield head + next(blocks, "" if head else "\n")
-    yield from blocks
+    yield head + next(lines, "" if head else "\n")
+    yield from lines
 
 
-def _emit(chunks: Iterable[str], out_path: str | None) -> int:
-    """Write the chunks to stdout or to out_path; 1 if out_path cannot be written.
+def _emit(lines: Iterable[str], out_path: str | None) -> int:
+    """Write the lines to stdout or to out_path; 1 if out_path cannot be written.
 
-    The first chunk is made before out_path is opened, so an error raised
-    while making it leaves no file.
+    Each line is written as it is made, and the stream's own buffer batches
+    them.  The first line is made before out_path is opened, so an error
+    raised while making it leaves no file.
     """
-    rest = iter(chunks)
-    chunks = chain((next(rest, ""),), rest)
+    rest = iter(lines)
+    lines = chain((next(rest, ""),), rest)
     if out_path is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(lines)
         return 0
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            fh.writelines(lines)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 1
@@ -153,22 +150,13 @@ def cmd_verify(args) -> int:
             allow_large=args.allow_large_p,
             digits=args.digits,
         )
-        for kind in (BetaKind.BASE2, BetaKind.GOLDEN, BetaKind.TRIBONACCI)
+        for kind in BetaKind
     ]
-    lines = [CSV_HEADER]
-    mismatches: list[str] = []
-    for rep in reports:
-        lines.extend(rep.csv_rows())
-        mismatches.extend(rep.theorem_mismatches + rep.formula_mismatches)
-    if mismatches:
-        lines.append("mismatches:")
-        lines.extend(mismatches)
-    else:
-        lines.append(f"ok: all paths agree for all kinds up to p={args.pmax}")
-    status = _emit(["\n".join(lines) + "\n"], args.out)
-    if status != 0:
-        return status
-    return 3 if mismatches else 0
+    mismatches = [m for rep in reports for m in rep.theorem_mismatches + rep.formula_mismatches]
+    ok = f"ok: all paths agree for all kinds up to p={args.pmax}"
+    summary = ["mismatches:", *mismatches] if mismatches else [ok]
+    lines = chain([CSV_HEADER], *(rep.csv_rows() for rep in reports), summary)
+    return _emit((f"{line}\n" for line in lines), args.out) or (3 if mismatches else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--allow-large-p",
             action="store_true",
-            help="allow brute-force enumeration for 20 < p <= 26",
+            help=f"allow brute-force enumeration for {DEFAULT_P_CAP} < p <= {HARD_P_CAP}",
         )
     return parser
 

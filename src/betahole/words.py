@@ -145,16 +145,14 @@ def as_seq(x: "PeriodicSeq | str") -> PeriodicSeq:
 def lex_compare(a: "PeriodicSeq | str", b: "PeriodicSeq | str") -> int:
     """Lexicographic comparison of infinite sequences: LT, EQ or GT.
 
-    Comparing the first len(pre_a)+len(pre_b)+lcm(|per_a|,|per_b|) symbols
-    decides: past both preperiods the streams share the lcm period.
+    Past both preperiods the tails have periods p and q, and by Fine and Wilf
+    (1965) two such tails that agree on p + q - gcd(p, q) symbols are equal.
     """
     a, b = as_seq(a), as_seq(b)
-    bound = len(a.pre) + len(b.pre) + math.lcm(len(a.period), len(b.period))
-    for i in range(bound):
-        x, y = a.symbol(i), b.symbol(i)
-        if x != y:
-            return LT if x < y else GT
-    return EQ
+    p, q = len(a.period), len(b.period)
+    n = max(len(a.pre), len(b.pre)) + p + q - math.gcd(p, q)
+    x, y = ((s.pre + s.period * (n // len(s.period) + 1))[:n] for s in (a, b))
+    return EQ if x == y else LT if x < y else GT
 
 
 def shift(s: "PeriodicSeq | str") -> PeriodicSeq:

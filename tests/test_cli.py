@@ -10,7 +10,8 @@ import pytest
 
 import betahole.cli as cli_mod
 from betahole.cli import MAX_DIGITS, main
-from betahole.survivor import MAX_P, closed_record
+from betahole.numberfield import BetaKind
+from betahole.survivor import MAX_P, CrossCheckReport, closed_record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -162,7 +163,7 @@ class TestTableCommand:
         assert capsys.readouterr().out == ""
         assert not target.exists()
 
-    def test_rows_are_written_a_block_at_a_time(self, monkeypatch):
+    def test_each_row_is_written_before_the_next_record_is_made(self, monkeypatch):
         # one log, in order, of each record made (its p) and each write (None)
         log = []
 
@@ -185,7 +186,7 @@ class TestTableCommand:
         ahead = 0
         for entry in log:
             ahead = 0 if entry is None else ahead + 1
-            assert ahead <= cli_mod.BLOCK_ROWS, "more than one block made before a write"
+            assert ahead <= 1, "a record made before the previous row was written"
         made = [p for p in log if p is not None]
         assert len(made) == 299 and made == sorted(made) and log[-1] is None
         assert sink.getvalue().count("\n") == 1 + len(made)
@@ -215,19 +216,33 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
-        import betahole.cli as cli_mod
-        from betahole.numberfield import BetaKind
-        from betahole.survivor import CrossCheckReport
-
-        def fake_cross_check(kind, p_max, workers=1, allow_large=False, digits=10):
-            return CrossCheckReport(
-                BetaKind(kind), p_max, (), ("synthetic disagreement",), ()
-            )
-
-        monkeypatch.setattr(cli_mod, "cross_check", fake_cross_check)
+        monkeypatch.setattr(cli_mod, "cross_check", mismatching_cross_check)
         code, out = run(capsys, "verify", "--pmax", "2")
         assert code == 3
         assert "mismatches:" in out and "synthetic disagreement" in out
+
+    @pytest.mark.parametrize("mismatch", [False, True])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, monkeypatch, mismatch):
+        if mismatch:
+            monkeypatch.setattr(cli_mod, "cross_check", mismatching_cross_check)
+        code, out = run(capsys, "verify", "--pmax", "4")
+        assert code == (3 if mismatch else 0)
+        target = tmp_path / "verify.csv"
+        assert run(capsys, "verify", "--pmax", "4", "--out", str(target)) == (code, "")
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("mismatch", [False, True])
+    def test_unwritable_out_is_io_error(self, capsys, monkeypatch, mismatch):
+        if mismatch:
+            monkeypatch.setattr(cli_mod, "cross_check", mismatching_cross_check)
+        assert main(["verify", "--pmax", "2", "--out", "/nonexistent/dir/v.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write /nonexistent/dir/v.csv" in captured.err
+
+
+def mismatching_cross_check(kind, p_max, workers=1, allow_large=False, digits=10):
+    """A cross_check stand-in whose report holds one disagreement."""
+    return CrossCheckReport(BetaKind(kind), p_max, (), ("synthetic disagreement",), ())
 
 
 @pytest.mark.parametrize(
@@ -327,6 +342,15 @@ def _pinned_sweep():
             yield ["table", "--beta", kind, "--pmax", "300", "--digits", "30", "--method",
                    method, "--format", "csv"]
         yield ["survivor", "--beta", kind, "--p", "50", "--method", "theorem", "--digits", "1000"]
+
+
+def test_cap_help_is_built_from_the_caps(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "DEFAULT_P_CAP", 17)
+    monkeypatch.setattr(cli_mod, "HARD_P_CAP", 23)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert "enumeration for 17 < p <= 23" in " ".join(capsys.readouterr().out.split())
 
 
 def test_stdout_matches_the_pinned_digests(capsys):

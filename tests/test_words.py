@@ -1,3 +1,5 @@
+import math
+import time
 from collections import Counter
 
 import pytest
@@ -10,6 +12,7 @@ from betahole.words import (
     GT,
     LT,
     PeriodicSeq,
+    as_seq,
     lex_compare,
     lex_min_rotation,
     passing_factors,
@@ -20,6 +23,8 @@ from betahole.words import (
 )
 
 words = st.text(alphabet="01", min_size=1, max_size=12)
+# a word, or an eventually periodic sequence with a preperiod
+sequences = words | st.builds(PeriodicSeq, st.text(alphabet="01", max_size=6), words)
 
 
 def brute_lyndon(p):
@@ -160,19 +165,42 @@ class TestLexCompare:
         # 0111... equals 0(1) however it is presented
         assert lex_compare(PeriodicSeq("01", "1"), PeriodicSeq("0", "11")) == EQ
 
-    @given(words, words)
+    @given(sequences, sequences)
     def test_antisymmetry(self, a, b):
         assert lex_compare(a, b) == -lex_compare(b, a)
 
-    @given(words, words, words)
+    @given(sequences, sequences, sequences)
     def test_transitivity(self, a, b, c):
         if lex_compare(a, b) != GT and lex_compare(b, c) != GT:
             assert lex_compare(a, c) != GT
 
-    @given(words, words)
+    @given(sequences, sequences)
     def test_eq_matches_seq_equality(self, a, b):
-        same = PeriodicSeq.pure(a) == PeriodicSeq.pure(b)
+        same = as_seq(a) == as_seq(b)
         assert (lex_compare(a, b) == EQ) == same
+
+    @given(sequences, sequences)
+    def test_matches_the_lcm_loop(self, a, b):
+        assert lex_compare(a, b) == lcm_loop_compare(a, b)
+
+    def test_long_equal_periods_are_compared_within_their_short_bound(self):
+        # lcm(5000, 5002) = 12,505,000 symbols for the loop, 5,000 + 5,002 - 2 here
+        start = time.process_time()
+        assert lex_compare("01" * 2500, "01" * 2501) == EQ
+        assert lex_compare("01" * 2500, "01" * 2500 + "10") == LT
+        assert time.process_time() - start < 1.0
+
+
+def lcm_loop_compare(a, b):
+    """Reference: compare symbol by symbol through both preperiods and the lcm of
+    the periods, after which the two tails repeat together."""
+    a, b = as_seq(a), as_seq(b)
+    bound = len(a.pre) + len(b.pre) + math.lcm(len(a.period), len(b.period))
+    for i in range(bound):
+        x, y = a.symbol(i), b.symbol(i)
+        if x != y:
+            return LT if x < y else GT
+    return EQ
 
 
 class TestEnumeration:
