@@ -3,12 +3,11 @@
 A finite word is admissible for a given beta when every cyclic rotation,
 extended periodically, stays strictly below delta(beta) in lexicographic
 order; those are exactly the periodic sequences realized as expansions of
-orbit points in [0, 1).
+orbit points in [0, 1).  A point is given as int, Fraction or FieldElement.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -16,16 +15,20 @@ from functools import lru_cache
 
 from .numberfield import BetaContext, FieldElement, eval_periodic
 from .words import (
-    PeriodicSeq, check_period, check_word, lex_min_rotation, passing_factors, rotations,
-    smallest_period,
+    EQ, LT, PeriodicSeq, check_period, check_word, lex_compare, lex_min_rotation,
+    passing_factors, rotations, smallest_period,
 )
 
 
-def _require_unit_interval(x: FieldElement, allow_zero: bool = True) -> None:
-    s = x.sign()
-    if s < 0 or (s == 0 and not allow_zero) or (x - 1).sign() >= 0:
-        lo = "[0, 1)" if allow_zero else "(0, 1)"
-        raise ValueError(f"argument outside {lo}: {x!r}")
+def _unit_point(x: "int | Fraction | FieldElement", ctx: BetaContext) -> FieldElement:
+    """x as an element of ctx's field, or TypeError; ValueError unless it is in [0, 1)."""
+    if isinstance(x, (int, Fraction)):
+        x = ctx.from_rational(x)
+    elif not isinstance(x, FieldElement):
+        raise TypeError(f"a point must be int, Fraction or FieldElement, not {type(x).__name__}")
+    if x.sign() < 0 or (x - 1).sign() >= 0:
+        raise ValueError(f"argument outside [0, 1): {x!r}")
+    return x
 
 
 def _digit_step(r: FieldElement, ctx: BetaContext) -> tuple[str, FieldElement]:
@@ -36,25 +39,23 @@ def _digit_step(r: FieldElement, ctx: BetaContext) -> tuple[str, FieldElement]:
     return "0", y
 
 
-def t_beta(x: FieldElement, ctx: BetaContext) -> FieldElement:
+def t_beta(x, ctx: BetaContext) -> FieldElement:
     """One step of x -> beta*x mod 1; the integer part is found by exact sign tests."""
-    _require_unit_interval(x)
-    return _digit_step(x, ctx)[1]
+    return _digit_step(_unit_point(x, ctx), ctx)[1]
 
 
-def greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> str:
+def greedy_digits(x, ctx: BetaContext, n: int) -> str:
     """First n digits of the greedy expansion of x in [0, 1)."""
     check_period(n, "n")
-    _require_unit_interval(x)
     digits = []
-    r = x
+    r = _unit_point(x, ctx)
     for _ in range(n):
         d, r = _digit_step(r, ctx)
         digits.append(d)
     return "".join(digits)
 
 
-def quasi_greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> "PeriodicSeq | str":
+def quasi_greedy_digits(x, ctx: BetaContext, n: int) -> "PeriodicSeq | str":
     """Quasi-greedy expansion of x in (0, 1): the greedy one unless it terminates.
 
     A terminating greedy expansion b_1..b_k 0^inf is rewritten by decrementing
@@ -63,12 +64,11 @@ def quasi_greedy_digits(x: FieldElement, ctx: BetaContext, n: int) -> "PeriodicS
     or cycles within n steps, otherwise the n-digit greedy prefix.
     """
     check_period(n, "n")
-    if x.sign() == 0:
+    r = _unit_point(x, ctx)
+    if r.is_zero():
         raise ValueError("0 has no expansion avoiding a 0^inf tail")
-    _require_unit_interval(x, allow_zero=False)
     digits: list[str] = []
     seen: dict[FieldElement, int] = {}
-    r = x
     for i in range(n):
         if r.is_zero():
             # greedy expansion is finite: apply the last-digit decrement rule
@@ -101,27 +101,24 @@ class AdmissibilityReport(namedtuple(
 
 
 @lru_cache(maxsize=64)
-def _delta_window(p: int, dper: str) -> tuple[int, str, int, tuple[str, ...]]:
-    """(reps, stream, copies, factors) for the length-p words against delta(beta).
+def _delta_window(p: int, dper: str) -> tuple[int, tuple[str, ...]]:
+    """(copies, factors) for the length-p words against delta(beta) = (dper)^inf.
 
-    A rotation r is admissible iff r * reps < stream, both n = lcm(p, len(dper))
-    symbols long: past n, r^inf and delta(beta) = (dper)^inf both repeat.  Some
-    rotation of w fails iff w * copies contains a factor: one of
-    passing_factors(dper), the set that also prunes the Lyndon walk, or
-    stream[:p] when a rotation's power can equal delta.  That last one decides
-    only whole words, so the walk does not prune by it.
+    Some rotation r of w has r^inf >= delta(beta) iff w * copies contains a
+    factor: one of passing_factors(dper), the set that also prunes the Lyndon
+    walk, or delta's first p symbols when their power equals delta.  That
+    last one decides only whole words, so the walk does not prune by it.
     """
-    n = math.lcm(p, len(dper))
-    reps, stream = n // p, dper * (n // len(dper))
     factors = passing_factors(dper)
-    if stream[:p] * reps == stream:
-        factors += (stream[:p],)
-    return reps, stream, (2 * p - 2 + max(map(len, factors))) // p, factors
+    head = (dper * p)[:p]
+    if lex_compare(head, dper) == EQ:
+        factors += (head,)
+    return (2 * p - 2 + max(map(len, factors))) // p, factors
 
 
 def _exceeds_delta(w: str, dper: str) -> bool:
     """Whether some rotation r of w has r^inf >= (dper)^inf (see _delta_window)."""
-    _, _, copies, factors = _delta_window(len(w), dper)
+    copies, factors = _delta_window(len(w), dper)
     ww = w * copies
     for f in factors:
         if f in ww:
@@ -134,14 +131,13 @@ def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
 
     The verdict is a search in w^inf for delta's passing factors, the ones
     that also prune the Lyndon walk, and for delta's own period
-    (_exceeds_delta); the offsets are searched only when it fails.
+    (_exceeds_delta); when it fails, lex_compare names the smallest offset.
     """
     check_word(w)
     if not _exceeds_delta(w, ctx.delta.period):
         return AdmissibilityReport(w, True)
-    reps, stream, _, _ = _delta_window(len(w), ctx.delta.period)
     rots = rotations(w)
-    offset = next(k for k, r in enumerate(rots) if r * reps >= stream)
+    offset = next(k for k, r in enumerate(rots) if lex_compare(r, ctx.delta) != LT)
     return AdmissibilityReport(w, False, offset, (rots[offset], str(ctx.delta)))
 
 
@@ -219,10 +215,6 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
 
 def survives(w: str, t, ctx: BetaContext) -> bool:
     """Whether the periodic point of w keeps its whole orbit at or above t."""
-    if isinstance(t, (int, Fraction)):
-        t = ctx.from_rational(t)
-    elif not isinstance(t, FieldElement):
-        raise TypeError(f"hole bound must be int, Fraction or FieldElement, not {type(t).__name__}")
-    _require_unit_interval(t)
+    t = _unit_point(t, ctx)
     _, value = orbit_min(w, ctx)
     return (value - t).sign() >= 0

@@ -104,9 +104,7 @@ class BetaContext:
 
     def periodic_value(self, num: tuple[int, ...], p: int) -> "FieldElement":
         """num / (beta**p - 1): the value of a period-p expansion with numerator num."""
-        if p < 1:
-            raise ValueError(f"a period must be >= 1, got {p}")
-        c0, *rest = self.int_beta_pow(p)
+        c0, *rest = self.int_beta_pow(check_period(p, "period"))
         return _quotient(self, num, 1, (c0 - 1, *rest), 1)
 
     # -- integer-coefficient kernels (used by the enumeration hot path) --

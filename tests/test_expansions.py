@@ -234,9 +234,14 @@ class TestAdmissibility:
 
 
 def reference_admissibility(w, ctx):
-    """Per-rotation loop on lex_compare, smallest failing offset first."""
+    """Per-rotation loop, smallest failing offset first: r^inf and delta(beta) both
+    repeat past n = lcm(len(w), len(delta's period)), so r fails iff its first n
+    symbols are not below delta's."""
+    dper = ctx.delta.period
+    n = math.lcm(len(w), len(dper))
+    reps, stream = n // len(w), dper * (n // len(dper))
     for offset, r in enumerate(rotations(w)):
-        if lex_compare(r, ctx.delta) != LT:
+        if r * reps >= stream:
             return AdmissibilityReport(w, False, offset, (r, str(ctx.delta)))
     return AdmissibilityReport(w, True)
 
@@ -279,7 +284,7 @@ def test_factor_verdict_matches_every_rotation_for_words_up_to_length_12(dper):
     [("1", ("1111111",)), ("10", ("11",)), ("110", ("111",))],
 )
 def test_only_factor_minimal_factors_are_kept(dper, factors):
-    assert expansions._delta_window(7, dper)[3] == factors
+    assert expansions._delta_window(7, dper)[1] == factors
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -559,6 +564,24 @@ class TestSurvives:
     def test_float_hole_bound_rejected(self):
         with pytest.raises(TypeError, match="int, Fraction or FieldElement"):
             survives("001", 0.25, make_context("golden"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        t_beta,
+        lambda x, ctx: greedy_digits(x, ctx, 8),
+        lambda x, ctx: quasi_greedy_digits(x, ctx, 8),
+        lambda x, ctx: survives("001", x, ctx),
+    ],
+    ids=["t_beta", "greedy_digits", "quasi_greedy_digits", "survives"],
+)
+def test_every_point_taking_function_takes_a_rational_and_rejects_a_float(call):
+    # a Fraction point once raised AttributeError in all but survives
+    ctx = make_context("golden")
+    assert call(Fraction(1, 3), ctx) == call(ctx.from_rational(Fraction(1, 3)), ctx)
+    with pytest.raises(TypeError, match="int, Fraction or FieldElement"):
+        call(0.3, ctx)
 
 
 class TestShiftCommutation:

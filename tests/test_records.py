@@ -86,12 +86,13 @@ def test_positional_fields_keep_their_order():
     assert not report.ok
 
 
-def test_import_pulls_in_neither_dataclasses_nor_inspect():
+def test_import_pulls_in_no_dataclasses_inspect_or_pool_modules():
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "import betahole\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing'}"
+        " & set(sys.modules)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True

@@ -420,10 +420,11 @@ class TestClosedForm:
         lambda p: closed_record("tribonacci", p),
         lambda p: brute_force_S(make_context("2"), p),
         lambda p: cross_check("golden", p),
+        lambda p: make_context("golden").periodic_value((1, 0), p),
     ],
     ids=[
         "primitive_representatives", "theorem_word-2", "theorem_word-golden", "theorem_record",
-        "closed_form", "closed_record", "brute_force_S", "cross_check",
+        "closed_form", "closed_record", "brute_force_S", "cross_check", "periodic_value",
     ],
 )
 @pytest.mark.parametrize("p", [True, False, 3.0, "3", None])
