@@ -168,25 +168,17 @@ def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int] | None:
     routes: w, least by the lex route, must have a strictly smaller exact
     value than every other rotation, or this raises RuntimeError.  Only the
     rotations that start with w's leading zero run, z symbols long, can be
-    below w, and one BetaContext.rotation_bounds call bounds them together
-    with every rotation that has fewer leading zeros, which is not built.
-    Only when that one lower bound does not clear top are the exact
-    numerators of all rotations compared, so a w that is not least, or not
-    primitive (a shorter period ties rotations), raises.  The returned
+    below w; BetaContext.rotation_bounds(w, z) finds and bounds them, and one
+    stand-in bounds the rest.  Only when that floor does not clear top are
+    the exact numerators of all rotations compared, so a w that is not least,
+    or not primitive (a shorter period ties rotations), raises.  The returned
     bracket lets a caller rank words without their exact values.
     """
     p = len(check_word(w))
     if _exceeds_delta(w, ctx.delta.period):
         return None
     # a word that starts with 1 is not least; z = 1 leaves that to the check
-    z = p - len(w.lstrip("0")) or 1
-    zeros, ww = "0" * z, w + w
-    rots = [w]
-    k = ww.find(zeros, 1)
-    while 0 < k < p:
-        rots.append(ww[k : k + p])
-        k = ww.find(zeros, k + 1)
-    low, top, floor = ctx.rotation_bounds(rots, z)
+    low, top, floor = ctx.rotation_bounds(w, p - len(w.lstrip("0")) or 1)
     if floor <= top:
         nums = rotation_numerators(w, ctx)
         for k in range(1, p):

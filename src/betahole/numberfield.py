@@ -128,33 +128,38 @@ class BetaContext:
         ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
-    def rotation_bounds(self, rots: list[str], z: int) -> tuple[int, int, int]:
-        """Integers low <= V(rots[0]) <= top, and floor <= V(r) for every r in
-        rots[1:] and for every word r of length p = len(rots[0]) with a 1 among
-        its first z symbols, for 1 <= z <= p.
+    def rotation_bounds(self, w: str, z: int) -> tuple[int, int, int]:
+        """Integers low <= V(w) <= top, and floor <= V(r) for every rotation r
+        of w at an offset 1..p-1, p = len(w), for 1 <= z <= p.
 
         V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
         value is a 0/1 sum of powers of beta, so summing each power's bracket
-        bounds it whatever the coefficient signs; base 2 is exact.  A word with
-        a 1 at an index a < z is at least beta**(p-1-a) >= beta**(p-z), so that
-        one bracket, lo[p - z], stands in for all such words, and none of them
-        is built or summed: a caller that passes the rotations starting with a
-        zero run of length z, its least one first, gets in floor one bound on
-        every other rotation.
+        bounds it whatever the coefficient signs; base 2 is exact.  A rotation
+        with a 1 at an index a < z is at least beta**(p-1-a) >= beta**(p-z), so
+        one bracket, lo[p - z], stands in for all of them, and none is built or
+        summed.  The rest, which start with 0^z, are found in w + w, encoded
+        reversed once: rotation k selects the powers in its slice [p - k : 2p - k].
         """
         lo, hi = self._pow_brackets
-        p = len(rots[0])
+        p = len(w)
         if not 0 < z <= p:  # lo[p - z] would be another power's bracket, or none
             raise ValueError(f"need 1 <= z <= {p}, got {z}")
         if len(lo) < p:
             self.pow_brackets(p)
+        zeros, ww, floor = "0" * z, w + w, lo[p - z]
+        k = ww.find(zeros, 1)
         if self.degree == 1:  # exact brackets: the sum is the number itself
-            low, *others = [int(r, 2) for r in rots]
-            top = low
+            low = top = int(w, 2)
+            while 0 < k < p:
+                floor = min(floor, int(ww[k : k + p], 2))
+                k = ww.find(zeros, k + 1)
         else:
-            low, *others = [sum(compress(lo, r[::-1].encode().translate(_BITS))) for r in rots]
-            top = sum(compress(hi, rots[0][::-1].encode().translate(_BITS)))
-        return low, top, min([lo[p - z], *others])
+            bits = ww[::-1].encode().translate(_BITS)
+            low, top = sum(compress(lo, bits[p:])), sum(compress(hi, bits[p:]))
+            while 0 < k < p:
+                floor = min(floor, sum(compress(lo, bits[p - k : 2 * p - k])))
+                k = ww.find(zeros, k + 1)
+        return low, top, floor
 
     def pow_brackets(self, n: int) -> tuple[list[int], list[int]]:
         """Lists lo, hi of at least n entries, lo[m] <= beta**m * 2**(64*(degree-1)) <= hi[m]."""

@@ -1,11 +1,13 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
 
 import betahole.expansions as expansions
+import betahole.numberfield as numberfield
 from betahole.expansions import (
     AdmissibilityReport,
     greedy_digits,
@@ -41,14 +43,18 @@ ALL_KINDS = list(BetaKind)
 def undecided_bounds(monkeypatch):
     """Lower the floor of BetaContext.rotation_bounds to at most its top: still
     sound, but it decides nothing, so every word takes the exact route, and the
-    first rotation's bracket is unchanged."""
+    first rotation's bracket is unchanged.  Returns the words it is called
+    with, so a certificate that bypasses the seam fails the caller's test."""
     real = BetaContext.rotation_bounds
+    calls = []
 
-    def undecided(self, rots, z):
-        low, top, floor = real(self, rots, z)
+    def undecided(self, w, z):
+        calls.append(w)
+        low, top, floor = real(self, w, z)
         return low, top, min(floor, top)
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", undecided)
+    return calls
 
 
 def zero_run_candidates(w):
@@ -417,9 +423,11 @@ class TestOrbitMin:
         # the one decision is floor <= top: a floor moved to top + gap, still
         # sound since the real floor clears top, is undecided at gap -1 and 0
         real = BetaContext.rotation_bounds
+        calls = []
 
-        def moved(self, rots, z):
-            low, top, floor = real(self, rots, z)
+        def moved(self, w, z):
+            calls.append(w)
+            low, top, floor = real(self, w, z)
             assert floor > top
             return low, top, top + gap
 
@@ -427,7 +435,7 @@ class TestOrbitMin:
         ctx = make_context(kind)
         assert w == lex_min_rotation(w) and len(zero_run_candidates(w)[1]) == n
         assert orbit_min_bounds(w, ctx) == orbit_min_oracle(w, ctx)
-        assert numerator_calls == ([w] if gap <= 0 else [])
+        assert calls == [w] and numerator_calls == ([w] if gap <= 0 else [])
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exact_route_alone_gives_the_same_results(self, monkeypatch, kind):
@@ -438,8 +446,9 @@ class TestOrbitMin:
             if smallest_period(w) == len(w) and is_admissible(w, ctx).admissible
         ]
         filtered = [orbit_min(w, ctx) for w in words]
-        undecided_bounds(monkeypatch)
+        calls = undecided_bounds(monkeypatch)
         assert [orbit_min(w, ctx) for w in words] == filtered
+        assert len(calls) == len(words) > 0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bounds_decide_every_enumerated_word_up_to_p14(self, numerator_calls, kind):
@@ -455,27 +464,47 @@ class TestOrbitMin:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_only_the_candidate_rotations_and_one_stand_in_are_bounded(self, monkeypatch, kind):
-        # a silent return to bounding all p rotations would only slow the brute force down
+        # a silent return to bounding all p rotations would only slow the brute force down.
+        # The rotations summed are read back from the selector bytes rotation_bounds
+        # passes to compress, or in base 2, where the brackets are exact, from the
+        # numerals it passes to int; the brackets are made before the spies go in,
+        # so nothing but rotation_bounds calls either
         real = BetaContext.rotation_bounds
-        bounded = []
+        bounded, summed = [], []
 
-        def spy(self, rots, z):
-            bounded.append((rots, z))
-            return real(self, rots, z)
+        def spy(self, w, z):
+            bounded.append((w, z))
+            return real(self, w, z)
+
+        def summed_selectors(brackets, ones):
+            summed.append(ones.translate(bytes.maketrans(b"\0\1", b"01"))[::-1].decode())
+            return compress(brackets, ones)
+
+        def read_numeral(s, base):
+            summed.append(s)
+            return int(s, base)
 
         def no_rotations(w):
             raise AssertionError(f"rotations({w!r}) called")
 
+        ctx = make_context(kind)
+        ctx.pow_brackets(14)
         monkeypatch.setattr(BetaContext, "rotation_bounds", spy)
         monkeypatch.setattr(expansions, "rotations", no_rotations)
-        ctx = make_context(kind)
+        if ctx.degree == 1:
+            monkeypatch.setattr(numberfield, "int", read_numeral, raising=False)
+        else:
+            monkeypatch.setattr(numberfield, "compress", summed_selectors)
         for p in range(1, 15):
             for w in primitive_representatives(p, below=ctx.delta.period):
                 bounded.clear()
+                summed.clear()
                 if orbit_min_bounds(w, ctx) is None:
                     continue
                 z, candidates = zero_run_candidates(w)
-                assert candidates[0] == w and bounded == [(candidates, z)], w
+                assert candidates[0] == w and bounded == [(w, z)], w
+                # w for low, and again for top where the brackets are not exact
+                assert summed == [w] * (1 if ctx.degree == 1 else 2) + candidates[1:], w
 
     @pytest.mark.parametrize("kind", ["golden", "tribonacci"])
     def test_bounds_decide_every_enumerated_word_up_to_p20(self, numerator_calls, kind):
@@ -495,8 +524,7 @@ class TestOrbitMin:
         # each such word's class, by its least rotation; the exact route is forced
         # by sound bounds that decide nothing, and must agree with the bounds route
         ctx = make_context(kind)
-        if route == "exact":
-            undecided_bounds(monkeypatch)
+        calls = undecided_bounds(monkeypatch) if route == "exact" else None
         words = [
             w
             for w in all_words(12)
@@ -513,6 +541,7 @@ class TestOrbitMin:
         assert shapes["z = p"] == 1 and "0" in words
         assert shapes[1] and shapes[2] and shapes[3], shapes
         assert numerator_calls == (words if route == "exact" else [])
+        assert calls is None or calls == words
 
     @pytest.mark.parametrize("route", ["bounds", "exact"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -523,8 +552,7 @@ class TestOrbitMin:
         # every primitive admissible word that is not reaches the exact values,
         # on either route, and raises there instead of returning a bracket
         ctx = make_context(kind)
-        if route == "exact":
-            undecided_bounds(monkeypatch)
+        calls = undecided_bounds(monkeypatch) if route == "exact" else None
         words = [
             w
             for w in all_words(10)
@@ -536,6 +564,7 @@ class TestOrbitMin:
                 orbit_min_bounds(w, ctx)
         # some start with 1, so no rotation starts with their zero run
         assert any(w[0] == "1" for w in words) and numerator_calls == words
+        assert calls is None or calls == words
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:

@@ -605,66 +605,86 @@ class TestEval:
 
 
 def lead_zeros(r):
-    """The z that rotation_bounds takes with rots[0] = r: its leading zeros, at least 1."""
+    """The z that orbit_min_bounds passes with r: its leading zeros, at least 1."""
     return max(1, len(r) - len(r.lstrip("0")))
 
 
-def first(rots, k):
-    """The rotations rots[k:] + rots[:k]: rotation k first, the others after it."""
-    return rots[k:] + rots[:k]
+def stand_in(ctx, p, z):
+    """The floor of rotation_bounds("1" * p, z): no rotation of 1^p starts with a
+    zero, so that floor is the stand-in lo[p - z] alone."""
+    return ctx.rotation_bounds("1" * p, z)[2]
 
 
 def assert_rotation_bounds_sound(ctx, w):
-    """low <= V(rots[0]) <= top and floor <= V of every other rotation, with each
-    rotation first in turn, and floor <= V of every rotation with a 1 among the
-    first z symbols when only rots[0] is passed, checked exactly."""
+    """low <= V(r) <= top and floor <= V of every other rotation, with each
+    rotation r of w passed in turn, and the stand-in <= V of every rotation
+    with a 1 among the first z symbols, checked exactly."""
     rots = rotations(w)
     shift = 64 * (ctx.degree - 1)
     values = [[c << shift for c in ctx.int_horner(r)] for r in rots]  # V(r) as coefficients
     for k, v in enumerate(values):
         z = lead_zeros(rots[k])
-        low, top, floor = ctx.rotation_bounds(first(rots, k), z)
+        low, top, floor = ctx.rotation_bounds(rots[k], z)
         assert ctx.int_sign((v[0] - low, *v[1:])) >= 0, (w, k)
         assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, k)
-        stand_in = ctx.rotation_bounds([rots[k]], z)[2]
+        lead = stand_in(ctx, len(w), z)
         for j, (r, u) in enumerate(zip(rots, values)):
             if j != k:
                 assert ctx.int_sign((u[0] - floor, *u[1:])) >= 0, (w, k, r)
             if "1" in r[:z]:
-                assert ctx.int_sign((u[0] - stand_in, *u[1:])) >= 0, (w, k, r)
+                assert ctx.int_sign((u[0] - lead, *u[1:])) >= 0, (w, k, r)
         if ctx.degree == 1:  # the brackets are exact
             assert low == top == int(rots[k], 2)
 
 
 def assert_every_lower_bound_sound(ctx, w):
-    """low <= V(rots[0]) and floor <= V of every other rotation, whichever
-    rotation is first, and floor <= V of every rotation with a 1 among the first
-    z symbols, whichever z the bounds are taken for.
+    """low <= V(w) and floor <= V of every other rotation, whichever rotation
+    is passed and whichever z the bounds are taken for, and the stand-in <= V
+    of every rotation with a 1 among the first z symbols.
 
     The largest lower bound of each rotation is checked exactly, so a lower
-    bound that depends on the first rotation or on z is covered too.  The
-    bounds are taken with every rotation first and z its leading zeros, as
-    orbit_min_bounds does, and the stand-in alone for every z in 1..p.
+    bound that depends on the rotation passed or on z is covered too.  The
+    bounds are taken with every rotation passed at its leading zeros, as
+    orbit_min_bounds does, and with w at every z in 1..p.
     """
     rots = rotations(w)
     p = len(w)
     shift = 64 * (ctx.degree - 1)
     highest = [0] * p
     for k in range(p):
-        low, _, floor = ctx.rotation_bounds(first(rots, k), lead_zeros(rots[k]))
+        low, _, floor = ctx.rotation_bounds(rots[k], lead_zeros(rots[k]))
         highest = [max(h, low if j == k else floor) for j, h in enumerate(highest)]
     for z in range(1, p + 1):
-        stand_in = ctx.rotation_bounds(rots[:1], z)[2]
-        highest = [max(h, stand_in) if "1" in r[:z] else h for h, r in zip(highest, rots)]
+        low, _, floor = ctx.rotation_bounds(w, z)
+        lead = stand_in(ctx, p, z)
+        highest = [
+            max(h, low if j == 0 else floor, lead if "1" in r[:z] else 0)
+            for j, (h, r) in enumerate(zip(highest, rots))
+        ]
     for j, r in enumerate(rots):
         v = [c << shift for c in ctx.int_horner(r)]
         assert ctx.int_sign((v[0] - highest[j], *v[1:])) >= 0, (w, j)
 
 
-def bracket_sum(lo, r):
-    """The full sum of the lower brackets of r's powers."""
+def bracket_sum(brackets, r):
+    """The sum of the brackets of r's powers: r[i] == "1" selects beta**(len(r)-1-i)."""
     p = len(r)
-    return sum(lo[p - 1 - i] for i, c in enumerate(r) if c == "1")
+    return sum(brackets[p - 1 - i] for i, c in enumerate(r) if c == "1")
+
+
+def reference_bounds(ctx, w):
+    """{z: rotation_bounds(w, z)} for z in 1..p, one rotation at a time: every
+    rotation built and its brackets summed, and the floor the least of the
+    stand-in lo[p - z] and the rotations at offsets 1..p-1 that start with 0^z."""
+    p = len(w)
+    lo, hi = ctx.pow_brackets(p)
+    rots = rotations(w)
+    lows = [bracket_sum(lo, r) for r in rots]
+    return {
+        z: (lows[0], bracket_sum(hi, w),
+            min([lo[p - z], *(s for r, s in zip(rots[1:], lows[1:]) if r.startswith("0" * z))]))
+        for z in range(1, p + 1)
+    }
 
 
 class TestRotationBounds:
@@ -693,28 +713,29 @@ class TestRotationBounds:
         assert_rotation_bounds_sound(make_context(kind), w)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_rotations_without_the_leading_zeros_share_the_lead_bound(self, kind):
-        # unconditionally, even where the bound does not clear top: a caller may
-        # pass only the rotations that start with z zeros and take the stand-in
-        # lo[p - z] in floor for the others, which are not summed
+    def test_every_word_up_to_length_10_matches_the_per_rotation_reference(self, kind):
+        # unconditionally, even where the bound does not clear top: the rotations
+        # that do not start with 0^z are not summed and take the stand-in lo[p - z]
         ctx = make_context(kind)
         for n in range(1, 11):
-            lo = ctx.pow_brackets(n)[0]
             for v in range(1 << n):
-                rots = rotations(format(v, f"0{n}b"))
-                for k, r in enumerate(rots):
-                    z = lead_zeros(r)
-                    assert ctx.rotation_bounds([r], z)[::2] == (bracket_sum(lo, r), lo[n - z])
-                    low, _, floor = ctx.rotation_bounds(first(rots, k), z)
-                    others = [bracket_sum(lo, x) for x in first(rots, k)[1:]]
-                    assert (low, floor) == (bracket_sum(lo, r), min([lo[n - z], *others]))
+                w = format(v, f"0{n}b")
+                bounds = {z: ctx.rotation_bounds(w, z) for z in range(1, n + 1)}
+                assert bounds == reference_bounds(ctx, w), w
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(w=st.text(alphabet="01", min_size=1, max_size=64))
+    def test_random_words_up_to_length_64_match_the_per_rotation_reference(self, kind, w):
+        ctx = make_context(kind)
+        bounds = {z: ctx.rotation_bounds(w, z) for z in range(1, len(w) + 1)}
+        assert bounds == reference_bounds(ctx, w)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("z", [0, -1, 5, 40])
     def test_rejects_a_zero_run_outside_the_word(self, kind, z):
         # past p, lo[p - z] indexes from the end: a bracket far above the words' values
         with pytest.raises(ValueError, match="1 <= z <= 4"):
-            make_context(kind).rotation_bounds(["0011"], z)
+            make_context(kind).rotation_bounds("0011", z)
 
     @pytest.mark.parametrize(
         "kind, w, z",
@@ -727,7 +748,7 @@ class TestRotationBounds:
         ctx = make_context(kind)
         rots, p = rotations(w), len(w)
         candidates = [r for r in rots if r.startswith("0" * z)]
-        low, top, floor = ctx.rotation_bounds(candidates, z)
+        low, top, floor = ctx.rotation_bounds(w, z)
         lo = ctx._pow_brackets[0]
         assert min(rots) == w == candidates[0] and floor > top
         assert len(candidates) < p // 2

@@ -216,15 +216,19 @@ def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
     base = list(survivor._brute_records(ctx, ps, 1, False, 10))
     real = BetaContext.rotation_bounds
     slack = 1 << 200
+    calls = []
 
-    def wide(self, rots, z):
-        low, top, floor = real(self, rots, z)
+    def wide(self, w, z):
+        calls.append(w)
+        low, top, floor = real(self, w, z)
         return low - slack, top + slack, floor - slack
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", wide)
     spy_pools(monkeypatch, 7)
     for shards in (1, 2, 3, 7):
+        calls.clear()
         assert list(survivor._brute_records(ctx, ps, shards, False, 10)) == base, shards
+        assert calls, shards
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
