@@ -12,6 +12,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .numberfield import BetaContext, FieldElement, eval_periodic
 from .words import (
@@ -160,23 +161,22 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
     return out
 
 
-def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int] | None:
+def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int]:
     """Integer bounds low <= V(w) <= top (V as in BetaContext.rotation_bounds)
-    for w, its class's lexicographically least rotation (a Lyndon word).
+    for w, an admissible Lyndon word: its class's lexicographically least
+    rotation, as the walk primitive_representatives(p, delta) yields it.
 
-    None when w is inadmissible (_exceeds_delta).  One certificate for two
-    routes: w, least by the lex route, must have a strictly smaller exact
-    value than every other rotation, or this raises RuntimeError.  Only the
-    rotations that start with w's leading zero run, z symbols long, can be
-    below w; BetaContext.rotation_bounds(w, z) finds and bounds them, and one
+    The value certificate alone; admission is the caller's.  w, least by the
+    lex route, must have a strictly smaller exact value than every other
+    rotation, or this raises RuntimeError.  Only the rotations that start
+    with w's leading zero run, z symbols long, can be below w;
+    BetaContext.rotation_bounds(w, z) finds and bounds them, and one
     stand-in bounds the rest.  Only when that floor does not clear top are
     the exact numerators of all rotations compared, so a w that is not least,
     or not primitive (a shorter period ties rotations), raises.  The returned
     bracket lets a caller rank words without their exact values.
     """
-    p = len(check_word(w))
-    if _exceeds_delta(w, ctx.delta.period):
-        return None
+    p = len(w)
     # a word that starts with 1 is not least; z = 1 leaves that to the check
     low, top, floor = ctx.rotation_bounds(w, p - len(w.lstrip("0")) or 1)
     if floor <= top:
@@ -185,6 +185,29 @@ def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int] | None:
             if ctx.int_compare(nums[k], nums[0]) <= 0:
                 raise RuntimeError(f"rotation {k} of {w} is not above rotation 0 in value")
     return low, top
+
+
+def class_count(ctx: BetaContext, p: int) -> int:
+    """The number of admissible classes of length p: (1/p) * sum over d | p of
+    mu(p/d) * tr(A^d), less delta's own class, for A the m-block graph of the
+    shift that avoids passing_factors(dper).  Its states are the words of
+    length m = (longest factor's length) - 1 with no factor, its edges those
+    of length m + 1.
+    """
+    dper = ctx.delta.period
+    factors = passing_factors(dper)
+    m = max(map(len, factors), default=1) - 1
+    states = [s for s in map("".join, product("01", repeat=m)) if not any(f in s for f in factors)]
+    a = [[sum(not any(f in u + c for f in factors) for c in "01" if (u + c)[1:] == v)
+          for v in states] for u in states]
+    traces, power = [], a
+    for _ in range(check_period(p)):
+        traces.append(sum(power[i][i] for i in range(len(a))))
+        power = [[sum(map(operator.mul, row, col)) for col in zip(*a)] for row in power]
+    primitive = {}  # d -> the points of smallest period d, for each d dividing p
+    for d in [d for d in range(1, p + 1) if p % d == 0]:
+        primitive[d] = traces[d - 1] - sum(n for e, n in primitive.items() if d % e == 0)
+    return primitive[p] // p - (p == len(dper))
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:

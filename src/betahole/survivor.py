@@ -29,7 +29,7 @@ import os
 from collections import namedtuple
 from itertools import chain, repeat
 
-from .expansions import orbit_min_bounds
+from .expansions import class_count, orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
 from .words import check_period, primitive_representatives
 
@@ -61,55 +61,55 @@ class SurvivorRecord(namedtuple("SurvivorRecord", "p word value value_float meth
 
 
 def _best(ctx: BetaContext, candidates) -> dict:
-    """Fold (low, top, word, ties) candidates, given in any order, by word length.
+    """Fold (low, top, word, ties, count) candidates, given in any order, by word length.
 
-    Returns {length: (low, top, word, ties)}, the best candidate of each
-    length.  word is the least rotation of a class and low <= V(word) <= top
-    bracket its orbit minimum as BetaContext.rotation_bounds does.  A
-    candidate beats the incumbent of its length when its low is above the
-    incumbent's top and loses when its top is below the incumbent's low; only
-    overlapping brackets compare the exact numerators int_horner(word).
-    Equal values sum their ties and keep the lexicographically smaller word
-    and both brackets' intersection, so the result does not depend on the
-    order of the candidates.  Words of one length compare as binary numerals
-    in string order; that only breaks ties.
+    Returns {length: (low, top, word, ties, count)}: the best candidate of
+    each length, with count summed over all of them.  word is the least
+    rotation of a class and low <= V(word) <= top bracket its orbit minimum
+    as BetaContext.rotation_bounds does.  A candidate beats the incumbent of
+    its length when its low is above the incumbent's top and loses when its
+    top is below the incumbent's low; only overlapping brackets compare the
+    exact numerators int_horner(word).  Equal values sum their ties and keep
+    the lexicographically smaller word and both brackets' intersection, so
+    the result does not depend on the order of the candidates.  Words of one
+    length compare as binary numerals in string order; that only breaks ties.
     """
-    best = {}  # length -> [low, top, word, ties, exact numerator of word or None]
-    for low, top, word, n in candidates:
+    best = {}  # length -> [low, top, word, ties, count, exact numerator of word or None]
+    for low, top, word, n, count in candidates:
         inc = best.get(len(word))
         if inc is None or low > inc[1]:
-            best[len(word)] = [low, top, word, n, None]
+            best[len(word)] = [low, top, word, n, count + inc[4] if inc else count, None]
             continue
+        inc[4] += count
         if top < inc[0]:
             continue
-        if inc[4] is None:
-            inc[4] = ctx.int_horner(inc[2])
+        if inc[5] is None:
+            inc[5] = ctx.int_horner(inc[2])
         num = ctx.int_horner(word)
-        c = ctx.int_compare(num, inc[4])
+        c = ctx.int_compare(num, inc[5])
         if c > 0:
-            best[len(word)] = [low, top, word, n, num]
+            best[len(word)] = [low, top, word, n, inc[4], num]
         elif c == 0:
             inc[:4] = max(low, inc[0]), min(top, inc[1]), min(inc[2], word), inc[3] + n
-    return {length: tuple(inc[:4]) for length, inc in best.items()}
+    return {length: tuple(inc[:5]) for length, inc in best.items()}
 
 
 def _scan_shard(kind_value: str, periods, shard: int, shards: int) -> dict:
-    """Best admissible class of each period among the words of one shard of
-    the pruned enumeration; pure, fork-safe.
+    """Best class of each period, and the number of classes, among the words
+    of one shard of the delta(beta)-pruned enumeration; pure, fork-safe.
 
-    One walk to the largest period yields the words of every period.  Returns
-    the _best fold, by period, of (*orbit_min_bounds(w), w, 1) for every
-    admitted word w.  The walker's word is its class's least rotation, which
-    orbit_min_bounds takes as given and certifies; no exact numerator is built
-    unless two brackets overlap.  The shard walks only the small subtrees
-    dealt to it round-robin, which balances the shards: every Lyndon word of
-    length >= 2 starts with 0, so a split by value would leave all of them in
-    the first shard.
+    One walk to the largest period yields every period's admissible Lyndon
+    words, and no word is checked again.  Returns the _best fold, by period,
+    of (*orbit_min_bounds(w), w, 1, 1) for every word w: the certificate
+    takes the walker's word as its class's least rotation, and no exact
+    numerator is built unless two brackets overlap.  The shard walks only the
+    small subtrees dealt to it round-robin, which balances the shards: every
+    Lyndon word of length >= 2 starts with 0, so a split by value would leave
+    all of them in the first shard.
     """
     ctx = make_context(kind_value)
-    # pruning by delta(beta) drops only inadmissible words; orbit_min_bounds checks the rest
     words = primitive_representatives(max(periods), ctx.delta.period, shard, shards, periods)
-    return _best(ctx, ((*b, w, 1) for w in words if (b := orbit_min_bounds(w, ctx)) is not None))
+    return _best(ctx, ((*orbit_min_bounds(w, ctx), w, 1, 1) for w in words))
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -133,10 +133,10 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
     """Yield the brute-force SurvivorRecord of each period in ps, in order.
 
     Every period is checked against the caps before any word is enumerated.
-    The W = min(workers, usable CPUs) shards go through one map of one
-    process pool, or run in this process when W = 1; each shard walks the
-    tree once for all the periods.  The records follow once every shard is
-    folded in, and only the winner of each period gets an exact numerator.
+    The W = min(workers, usable CPUs) shards go through one map of one pool,
+    or run in this process when W = 1, each walking once for all the periods.
+    Records follow once every shard is folded in and each period's classes
+    number class_count (or RuntimeError); only each winner gets its numerator.
     """
     ps = [check_period(p) for p in ps]
     workers = check_period(workers, "workers")
@@ -166,8 +166,11 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
         if pool is not None:
             # a run stopped early (an error, or an interrupt) waits only for the running jobs
             pool.shutdown(cancel_futures=True)
+    for p in ps:  # a class the walk drops or adds fails this though no winner moves
+        if (count := best.get(p, (0,) * 5)[4]) != (expected := class_count(ctx, p)):
+            raise RuntimeError(f"{kind_value} p={p}: {count} classes walked, {expected} counted")
     for p in ps:
-        _, _, word, ties = best.get(p, (0, 0, None, 0))
+        _, _, word, ties, _ = best.get(p, (0, 0, None, 0, 0))
         yield _word_record(ctx, p, word, BRUTE, ties, digits)
 
 

@@ -184,12 +184,12 @@ def primitive_representatives(
     one of those lengths instead, in lexicographic order (a word before its
     extensions); the walk to length p passes all of them (Duval).
 
-    With `below`, a word is skipped together with every extension of its
-    prefix as soon as the prefix contains one of passing_factors(below), a
-    factor greater than the prefix of (below)^inf of the same length: the
-    rotation starting at that factor already exceeds (below)^inf.  Output
-    stays in the same order, so with below = delta(beta) every admissible
-    class is still yielded.
+    With `below`, it yields exactly the Lyndon words w whose every rotation r
+    has r^inf strictly below (below)^inf, in the same order.  A prefix that
+    holds one of passing_factors(below) is skipped with all its extensions
+    (the rotation at that factor exceeds (below)^inf), and a word is left out
+    when it is 1, the Lyndon rotation of below's primitive root (its power is
+    (below)^inf), or when it holds such a factor across a seam of w^inf.
 
     With `shards` > 1 the walk numbers the prefixes of length d = p - 8 that
     it reaches, in order, and enters only those whose number is shard mod
@@ -221,14 +221,18 @@ def primitive_representatives(
     # so appending a 1 makes one exactly when w ends with a factor's stem
     factors = [f.encode() for f in passing_factors("1" if below is None else below)]
     stems = tuple(f[:-1] for f in factors)
+    # w starts with 0 past length 1: a factor with no 0 after its start crosses no seam
+    seam = [f for f in factors if b"0" in f[1:]]
+    drop = () if below is None else ("1", lex_min_rotation(below[: smallest_period(below)]))
     # Duval / FKM: generates the binary Lyndon words of length <= p in
     # lexicographic order; those whose length is in lengths are yielded.
     # w holds ASCII digits.
     w = bytearray(b"0")
     while True:
         n = len(w)
-        if n in lengths and (n > depth or not shard):
-            yield w.decode()
+        if n in lengths and (n > depth or not shard) and (word := w.decode()) not in drop:
+            if not (seam and any(f in w * (len(f) // n + 2) for f in seam)):
+                yield word
         if n < p:
             # periodic extension to length p, cut before the last symbol of the
             # first passing factor that ends past w[:n]

@@ -262,8 +262,9 @@ def test_admissibility_matches_reference_loop(kind, w):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("bad", ["", "2", "012", "0 1"])
 def test_every_entry_point_rejects_a_word_that_is_not_binary(kind, bad):
+    # orbit_min_bounds is no entry point: it takes the walk's admissible Lyndon words
     ctx = make_context(kind)
-    for f in (orbit_min_bounds, is_admissible, orbit_min):
+    for f in (is_admissible, orbit_min):
         with pytest.raises(ValueError, match="not a nonempty binary word"):
             f(bad, ctx)
 
@@ -301,7 +302,8 @@ def test_one_verdict_for_every_word_up_to_length_12(kind):
         ref = reference_admissibility(w, ctx)
         assert is_admissible(w, ctx) == ref
         if not ref.admissible:
-            assert orbit_min_bounds(w, ctx) is None
+            with pytest.raises(ValueError, match="inadmissible word"):
+                orbit_min(w, ctx)
         elif smallest_period(w) == len(w):
             least = lex_min_rotation(w)
             assert orbit_min(w, ctx) == (least, eval_periodic(least, ctx))
@@ -457,9 +459,9 @@ class TestOrbitMin:
         n = 0
         for p in range(1, 15):
             for w in primitive_representatives(p, below=ctx.delta.period):
-                if is_admissible(w, ctx).admissible:
-                    orbit_min_bounds(w, ctx)
-                    n += 1
+                assert is_admissible(w, ctx).admissible, w
+                orbit_min_bounds(w, ctx)
+                n += 1
         assert n > 0 and numerator_calls == []
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -499,8 +501,7 @@ class TestOrbitMin:
             for w in primitive_representatives(p, below=ctx.delta.period):
                 bounded.clear()
                 summed.clear()
-                if orbit_min_bounds(w, ctx) is None:
-                    continue
+                orbit_min_bounds(w, ctx)
                 z, candidates = zero_run_candidates(w)
                 assert candidates[0] == w and bounded == [(w, z)], w
                 # w for low, and again for top where the brackets are not exact
@@ -513,7 +514,8 @@ class TestOrbitMin:
         n = 0
         for p in range(1, 21):
             for w in primitive_representatives(p, below=ctx.delta.period):
-                n += orbit_min_bounds(w, ctx) is not None
+                orbit_min_bounds(w, ctx)
+                n += 1
         assert n > 0 and numerator_calls == []
 
     @pytest.mark.parametrize("route", ["bounds", "exact"])

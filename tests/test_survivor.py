@@ -6,7 +6,7 @@ import pytest
 
 import betahole.numberfield as numberfield
 import betahole.survivor as survivor
-from betahole.expansions import is_admissible
+from betahole.expansions import class_count, is_admissible
 from betahole.numberfield import BetaContext, BetaKind, eval_periodic, make_context
 from betahole.survivor import (
     BRUTE,
@@ -112,21 +112,24 @@ class TestBruteForce:
 def test_best_fold_keeps_the_earliest_word_and_sums_ties():
     # the fold that serves both one shard's words and the merge of the shards' results,
     # one winner per word length; golden: 0011 and 0100 are both beta^2, 0110, 1000
-    # and 110 all beta^3 (x10: 26.2, 42.4), and 101 is beta^2 + 1 (x10: 36.2)
+    # and 110 all beta^3 (x10: 26.2, 42.4), and 101 is beta^2 + 1 (x10: 36.2).  The
+    # last entry counts classes: every candidate's count is summed, winner or not
     ctx = make_context("golden")
     parts = [
-        (25, 27, "0011", 2),
-        (41, 43, "0110", 1),
-        (36, 37, "101", 1),
-        (42, 44, "1000", 3),
-        (41, 44, "110", 5),
-        (26, 28, "0100", 1),
+        (25, 27, "0011", 2, 10),
+        (41, 43, "0110", 1, 20),
+        (36, 37, "101", 1, 1),
+        (42, 44, "1000", 3, 300),
+        (41, 44, "110", 5, 2),
+        (26, 28, "0100", 1, 4000),
     ]
     assert survivor._best(ctx, []) == {}
     # round-robin shards report out of word order; the smaller word still wins a tie,
     # and a word of another length with the same value is neither a tie nor a rival
     for order in permutations(parts):
-        assert survivor._best(ctx, order) == {4: (42, 43, "0110", 4), 3: (41, 44, "110", 5)}
+        assert survivor._best(ctx, order) == {
+            4: (42, 43, "0110", 4, 4330), 3: (41, 44, "110", 5, 3)
+        }
 
 
 @pytest.mark.parametrize(
@@ -149,7 +152,8 @@ def test_best_fold_keeps_the_earliest_word_and_sums_ties():
 def test_best_fold_settles_overlapping_brackets_exactly(parts, expected):
     ctx = make_context("golden")
     for order in permutations(parts):
-        assert survivor._best(ctx, order) == {4: expected}
+        counted = [(*part, 1) for part in order]
+        assert survivor._best(ctx, counted) == {4: (*expected, 2)}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -249,9 +253,43 @@ def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
         spy(name)
     folds = survivor._scan_shard(kind.value, range(1, 15), 0, 1)
     for p in range(3, 15):
-        _, _, word, ties = folds[p]
+        _, _, word, ties, count = folds[p]
         assert word == theorem_word(kind, p) and ties == 1, p
+        assert count == class_count(make_context(kind), p), p
     assert calls["int_compare"] == 0 and calls["int_horner"] <= 1, calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_walk_that_drops_an_admissible_class_fails_the_count(monkeypatch, kind, workers):
+    # 0000001 is admissible for every kind and wins at no p = 7, so without the
+    # count the records would not change
+    spy_pools(monkeypatch, 2)
+    real = survivor.primitive_representatives
+    dropped = "0000001"
+    assert is_admissible(dropped, make_context(kind)).admissible
+    assert theorem_word(kind, 7) != dropped
+
+    def dropping(*args):
+        return (w for w in real(*args) if w != dropped)
+
+    monkeypatch.setattr(survivor, "primitive_representatives", dropping)
+    n = class_count(make_context(kind), 7)
+    with pytest.raises(RuntimeError, match=f"{kind.value} p=7: {n - 1} classes walked, {n} counted"):
+        brute_force_S(make_context(kind), 7, workers=workers)
+
+
+def test_a_walk_that_adds_an_inadmissible_class_fails_the_count(monkeypatch):
+    # (01)^inf is golden's delta itself, so 01 fails the strict test; the
+    # certificate alone would make it the p = 2 record
+    real = survivor.primitive_representatives
+
+    def adding(*args):
+        return chain(["01"], real(*args))
+
+    monkeypatch.setattr(survivor, "primitive_representatives", adding)
+    with pytest.raises(RuntimeError, match="golden p=2: 1 classes walked, 0 counted"):
+        brute_force_S(make_context("golden"), 2)
 
 
 @pytest.mark.parametrize(
@@ -425,10 +463,12 @@ class TestClosedForm:
         lambda p: brute_force_S(make_context("2"), p),
         lambda p: cross_check("golden", p),
         lambda p: make_context("golden").periodic_value((1, 0), p),
+        lambda p: class_count(make_context("tribonacci"), p),
     ],
     ids=[
         "primitive_representatives", "theorem_word-2", "theorem_word-golden", "theorem_record",
         "closed_form", "closed_record", "brute_force_S", "cross_check", "periodic_value",
+        "class_count",
     ],
 )
 @pytest.mark.parametrize("p", [True, False, 3.0, "3", None])

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from betahole.expansions import _exceeds_delta, is_admissible
+from betahole.expansions import class_count, is_admissible
 from betahole.numberfield import BetaKind, make_context
 from betahole.words import (
     EQ,
@@ -271,13 +271,18 @@ class TestPrunedEnumeration:
         for w in (format(v, f"0{k}b") for k in range(1, 11) for v in range(1 << k)):
             assert any(f in w for f in factors) == exceeds_naively(w, below), w
 
-    # a stream that starts with 0 passes "1" itself, whose empty stem blocks every 1
-    @pytest.mark.parametrize("below", ["1", "10", "110", "100", "1010011", "0", "01"])
+    # a stream that starts with 0 passes "1" itself, whose empty stem blocks every 1;
+    # 100, 10000 and 1010011 have a passing factor that can cross a seam of w^inf
+    @pytest.mark.parametrize(
+        "below", ["1", "10", "110", "100", "1010011", "0", "01", "10000", "11010"]
+    )
     def test_pruned_output_is_the_words_without_an_exceeding_factor(self, below):
+        stream = PeriodicSeq.pure(below)
         for p in range(1, 13):
             assert list(primitive_representatives(p, below=below)) == [
-                w for w in primitive_representatives(p) if not exceeds_naively(w, below)
-            ]
+                w for w in primitive_representatives(p)
+                if all(lex_compare(r, stream) == LT for r in rotations(w))
+            ], p
 
     @pytest.mark.parametrize("kind", list(BetaKind))
     def test_pruning_keeps_exactly_the_admissible_words(self, kind):
@@ -286,11 +291,15 @@ class TestPrunedEnumeration:
         for p in range(1, 15):
             plain = list(primitive_representatives(p))
             pruned = list(primitive_representatives(p, below=below))
-            assert [w for w in pruned if is_admissible(w, ctx).admissible] == [
-                w for w in plain if is_admissible(w, ctx).admissible
-            ]
-            if kind is BetaKind.BASE2:
-                assert pruned == plain
+            assert pruned == [w for w in plain if is_admissible(w, ctx).admissible], p
+
+    @pytest.mark.parametrize("kind, root", [("2", "1"), ("golden", "01"), ("tribonacci", "011")])
+    def test_neither_1_nor_the_class_of_delta_is_yielded(self, kind, root):
+        # 1^inf is below no stream, and the class of delta's period has delta as its power
+        dper = make_context(kind).delta.period
+        assert list(primitive_representatives(1, dper)) == ["0"]
+        assert root in primitive_representatives(len(root))
+        assert root not in primitive_representatives(len(root), dper)
 
     def test_pruned_counts_at_p20(self):
         yielded = {
@@ -301,7 +310,8 @@ class TestPrunedEnumeration:
             )
             for kind in ("golden", "tribonacci")
         }
-        assert yielded == {"golden": 2171, "tribonacci": 23034}
+        # 1 and the class whose power is delta are not admissible
+        assert yielded == {"golden": 2169, "tribonacci": 23032}
 
     @pytest.mark.parametrize(
         "kind, a",
@@ -313,16 +323,18 @@ class TestPrunedEnumeration:
         # the graph a, whose states are the trailing run of 1s; the classes are
         # counted by Moebius inversion of tr(a^d).  The one class whose power is
         # delta itself (p = len(dper)) is not admitted either.
-        dper, pmax = make_context(kind).delta.period, 20
+        # class_count builds its own graph from the passing factors; a is the reference
+        ctx = make_context(kind)
+        dper, pmax = ctx.delta.period, 20
         walk = primitive_representatives(pmax, dper, lengths=range(1, pmax + 1))
-        admitted = Counter(len(w) for w in walk if not _exceeds_delta(w, dper))
+        admitted = Counter(map(len, walk))
         traces, power = [], a
         for _ in range(pmax):
             traces.append(sum(power[i][i] for i in range(len(a))))
             power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
         for p in range(1, pmax + 1):
             closed = sum(mobius(p // d) * traces[d - 1] for d in range(1, p + 1) if p % d == 0)
-            assert admitted[p] == closed // p - (p == len(dper)), (kind, p)
+            assert admitted[p] == class_count(ctx, p) == closed // p - (p == len(dper)), (kind, p)
 
 
 class TestShardedEnumeration:
