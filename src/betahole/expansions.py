@@ -3,21 +3,22 @@
 A finite word is admissible for a given beta when every cyclic rotation,
 extended periodically, stays strictly below delta(beta) in lexicographic
 order; those are exactly the periodic sequences realized as expansions of
-orbit points in [0, 1).  A point is given as int, Fraction or FieldElement.
+orbit points in [0, 1).  is_admissible checks it rotation by rotation, the
+reference for the walk of words.primitive_representatives, which encodes it
+by passing factors.  A point is given as int, Fraction or FieldElement.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .numberfield import BetaContext, FieldElement, eval_periodic
 from .words import (
-    EQ, LT, PeriodicSeq, check_period, check_word, lex_compare, lex_min_rotation,
-    passing_factors, rotations, smallest_period,
+    PeriodicSeq, check_period, check_word, lex_min_rotation, passing_factors, smallest_period,
 )
 
 
@@ -101,45 +102,24 @@ class AdmissibilityReport(namedtuple(
         )
 
 
-@lru_cache(maxsize=64)
-def _delta_window(p: int, dper: str) -> tuple[int, tuple[str, ...]]:
-    """(copies, factors) for the length-p words against delta(beta) = (dper)^inf.
-
-    Some rotation r of w has r^inf >= delta(beta) iff w * copies contains a
-    factor: one of passing_factors(dper), the set that also prunes the Lyndon
-    walk, or delta's first p symbols when their power equals delta.  That
-    last one decides only whole words, so the walk does not prune by it.
-    """
-    factors = passing_factors(dper)
-    head = (dper * p)[:p]
-    if lex_compare(head, dper) == EQ:
-        factors += (head,)
-    return (2 * p - 2 + max(map(len, factors))) // p, factors
-
-
-def _exceeds_delta(w: str, dper: str) -> bool:
-    """Whether some rotation r of w has r^inf >= (dper)^inf (see _delta_window)."""
-    copies, factors = _delta_window(len(w), dper)
-    ww = w * copies
-    for f in factors:
-        if f in ww:
-            return True
-    return False
-
-
 def is_admissible(w: str, ctx: BetaContext) -> AdmissibilityReport:
     """Check every rotation of w against delta(beta); report the smallest failing offset.
 
-    The verdict is a search in w^inf for delta's passing factors, the ones
-    that also prune the Lyndon walk, and for delta's own period
-    (_exceeds_delta); when it fails, lex_compare names the smallest offset.
+    Parry's condition by its definition, one rotation at a time: the rotation
+    r at offset k fails when r^inf >= delta(beta), the power of a period of
+    length q.  Two sequences of periods p and q that agree on their first
+    n = p + q - gcd(p, q) symbols are equal (Fine and Wilf, 1965), so the
+    first n symbols of each decide.  It reads none of the walk's passing
+    factors, so the tests check the walk against it.
     """
-    check_word(w)
-    if not _exceeds_delta(w, ctx.delta.period):
-        return AdmissibilityReport(w, True)
-    rots = rotations(w)
-    offset = next(k for k, r in enumerate(rots) if lex_compare(r, ctx.delta) != LT)
-    return AdmissibilityReport(w, False, offset, (rots[offset], str(ctx.delta)))
+    p, dper = len(check_word(w)), ctx.delta.period
+    q = len(dper)
+    n = p + q - math.gcd(p, q)
+    ww, stream = w * (n // p + 2), (dper * (n // q + 1))[:n]
+    for k in range(p):
+        if ww[k : k + n] >= stream:
+            return AdmissibilityReport(w, False, k, (ww[k : k + p], str(ctx.delta)))
+    return AdmissibilityReport(w, True)
 
 
 def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
@@ -187,12 +167,12 @@ def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int]:
     return low, top
 
 
-def class_count(ctx: BetaContext, p: int) -> int:
-    """The number of admissible classes of length p: (1/p) * sum over d | p of
-    mu(p/d) * tr(A^d), less delta's own class, for A the m-block graph of the
-    shift that avoids passing_factors(dper).  Its states are the words of
-    length m = (longest factor's length) - 1 with no factor, its edges those
-    of length m + 1.
+def class_counts(ctx: BetaContext, n: int) -> dict[int, int]:
+    """{p: the number of admissible classes of length p} for p = 1..n: (1/p) *
+    sum over d | p of mu(p/d) * tr(A^d), less delta's own class, for A the
+    m-block graph of the shift that avoids passing_factors(dper).  Its states
+    are the words of length m = (longest factor's length) - 1 with no factor,
+    its edges those of length m + 1.
     """
     dper = ctx.delta.period
     factors = passing_factors(dper)
@@ -200,14 +180,12 @@ def class_count(ctx: BetaContext, p: int) -> int:
     states = [s for s in map("".join, product("01", repeat=m)) if not any(f in s for f in factors)]
     a = [[sum(not any(f in u + c for f in factors) for c in "01" if (u + c)[1:] == v)
           for v in states] for u in states]
-    traces, power = [], a
-    for _ in range(check_period(p)):
-        traces.append(sum(power[i][i] for i in range(len(a))))
+    points, power = {}, a  # d -> the points of smallest period d: tr(A^d) less its divisors'
+    for d in range(1, check_period(n) + 1):
+        points[d] = sum(power[i][i] for i in range(len(a))) - sum(
+            k for e, k in points.items() if d % e == 0)
         power = [[sum(map(operator.mul, row, col)) for col in zip(*a)] for row in power]
-    primitive = {}  # d -> the points of smallest period d, for each d dividing p
-    for d in [d for d in range(1, p + 1) if p % d == 0]:
-        primitive[d] = traces[d - 1] - sum(n for e, n in primitive.items() if d % e == 0)
-    return primitive[p] // p - (p == len(dper))
+    return {p: k // p - (p == len(dper)) for p, k in points.items()}
 
 
 def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:

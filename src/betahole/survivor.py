@@ -29,7 +29,7 @@ import os
 from collections import namedtuple
 from itertools import chain, repeat
 
-from .expansions import class_count, orbit_min_bounds
+from .expansions import class_counts, orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
 from .words import check_period, primitive_representatives
 
@@ -136,7 +136,7 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
     The W = min(workers, usable CPUs) shards go through one map of one pool,
     or run in this process when W = 1, each walking once for all the periods.
     Records follow once every shard is folded in and each period's classes
-    number class_count (or RuntimeError); only each winner gets its numerator.
+    number class_counts (or RuntimeError); only each winner gets its numerator.
     """
     ps = [check_period(p) for p in ps]
     workers = check_period(workers, "workers")
@@ -166,9 +166,10 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
         if pool is not None:
             # a run stopped early (an error, or an interrupt) waits only for the running jobs
             pool.shutdown(cancel_futures=True)
+    counts = class_counts(ctx, max(ps))
     for p in ps:  # a class the walk drops or adds fails this though no winner moves
-        if (count := best.get(p, (0,) * 5)[4]) != (expected := class_count(ctx, p)):
-            raise RuntimeError(f"{kind_value} p={p}: {count} classes walked, {expected} counted")
+        if (count := best.get(p, (0,) * 5)[4]) != counts[p]:
+            raise RuntimeError(f"{kind_value} p={p}: {count} classes walked, {counts[p]} counted")
     for p in ps:
         _, _, word, ties, _ = best.get(p, (0, 0, None, 0, 0))
         yield _word_record(ctx, p, word, BRUTE, ties, digits)

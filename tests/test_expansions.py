@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from betahole.words import (
     PeriodicSeq,
     lex_compare,
     lex_min_rotation,
+    passing_factors,
     primitive_representatives,
     rotations,
     smallest_period,
@@ -271,32 +273,47 @@ def test_every_entry_point_rejects_a_word_that_is_not_binary(kind, bad):
 
 @pytest.mark.parametrize(
     "dper",
-    # base 2, golden, tribonacci, 4-bonacci, supergolden, plastic, and a delta
-    # with two factor-minimal factors (111 and 11011)
-    ["1", "10", "110", "1110", "100", "10000", "11010"],
+    # base 2, golden, tribonacci, 4-bonacci, supergolden, plastic, a delta
+    # with two factor-minimal factors (111 and 11011), and 1010011, which
+    # (101001)^inf matches for max(6, 7) = 7 symbols and falls below at the 8th,
+    # within the 6 + 7 - gcd(6, 7) = 12 that Fine and Wilf ask for
+    ["1", "10", "110", "1110", "100", "10000", "11010", "1010011"],
 )
 def test_factor_verdict_matches_every_rotation_for_words_up_to_length_12(dper):
+    # is_admissible reads only ctx.delta, so a stand-in context reaches the
+    # deltas no BetaKind has
+    ctx = SimpleNamespace(delta=PeriodicSeq.pure(dper))
     for w in all_words(12):
-        n = math.lcm(len(w), len(dper))
-        reps, stream = n // len(w), dper * (n // len(dper))
-        assert expansions._exceeds_delta(w, dper) == any(
-            r * reps >= stream for r in rotations(w)
-        ), (dper, w)
+        assert is_admissible(w, ctx) == reference_admissibility(w, ctx), (dper, w)
 
 
 @pytest.mark.parametrize(
     "dper, factors",
-    # base 2 has no factor passing delta, only 1^7 equal to it; golden and
-    # tribonacci have one each, and at p = 7 no rotation's power equals delta
-    [("1", ("1111111",)), ("10", ("11",)), ("110", ("111",))],
+    # base 2 has no factor passing delta; golden and tribonacci have one each,
+    # and 11010 two, the longer one holding no other
+    [("1", ()), ("10", ("11",)), ("110", ("111",)), ("11010", ("111", "11011"))],
 )
 def test_only_factor_minimal_factors_are_kept(dper, factors):
-    assert expansions._delta_window(7, dper)[1] == factors
+    assert passing_factors(dper) == factors
+
+
+def test_the_verdict_does_not_read_the_passing_factors(monkeypatch):
+    # the walk prunes by passing_factors and the tests check it against
+    # is_admissible, so is_admissible must reach its verdict without them
+    def unreachable(below):
+        raise AssertionError("is_admissible read the passing factors")
+
+    ctxs = [make_context(kind) for kind in ALL_KINDS]
+    monkeypatch.setattr("betahole.words.passing_factors", unreachable)
+    monkeypatch.setattr(expansions, "passing_factors", unreachable)
+    for ctx in ctxs:
+        for w in all_words(10):
+            assert is_admissible(w, ctx) == reference_admissibility(w, ctx), (ctx.kind, w)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_one_verdict_for_every_word_up_to_length_12(kind):
-    # the factor search decides admissibility for every offset
+    # orbit_min admits a word by is_admissible's verdict alone
     ctx = make_context(kind)
     for w in all_words(12):
         ref = reference_admissibility(w, ctx)
@@ -492,7 +509,8 @@ class TestOrbitMin:
         ctx = make_context(kind)
         ctx.pow_brackets(14)
         monkeypatch.setattr(BetaContext, "rotation_bounds", spy)
-        monkeypatch.setattr(expansions, "rotations", no_rotations)
+        # expansions imports no rotations; the stand-in catches one put back
+        monkeypatch.setattr(expansions, "rotations", no_rotations, raising=False)
         if ctx.degree == 1:
             monkeypatch.setattr(numberfield, "int", read_numeral, raising=False)
         else:

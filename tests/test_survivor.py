@@ -6,7 +6,7 @@ import pytest
 
 import betahole.numberfield as numberfield
 import betahole.survivor as survivor
-from betahole.expansions import class_count, is_admissible
+from betahole.expansions import class_counts, is_admissible
 from betahole.numberfield import BetaContext, BetaKind, eval_periodic, make_context
 from betahole.survivor import (
     BRUTE,
@@ -252,10 +252,11 @@ def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
     for name in calls:
         spy(name)
     folds = survivor._scan_shard(kind.value, range(1, 15), 0, 1)
+    counts = class_counts(make_context(kind), 14)
     for p in range(3, 15):
         _, _, word, ties, count = folds[p]
         assert word == theorem_word(kind, p) and ties == 1, p
-        assert count == class_count(make_context(kind), p), p
+        assert count == counts[p], p
     assert calls["int_compare"] == 0 and calls["int_horner"] <= 1, calls
 
 
@@ -274,7 +275,7 @@ def test_a_walk_that_drops_an_admissible_class_fails_the_count(monkeypatch, kind
         return (w for w in real(*args) if w != dropped)
 
     monkeypatch.setattr(survivor, "primitive_representatives", dropping)
-    n = class_count(make_context(kind), 7)
+    n = class_counts(make_context(kind), 7)[7]
     with pytest.raises(RuntimeError, match=f"{kind.value} p=7: {n - 1} classes walked, {n} counted"):
         brute_force_S(make_context(kind), 7, workers=workers)
 
@@ -463,12 +464,12 @@ class TestClosedForm:
         lambda p: brute_force_S(make_context("2"), p),
         lambda p: cross_check("golden", p),
         lambda p: make_context("golden").periodic_value((1, 0), p),
-        lambda p: class_count(make_context("tribonacci"), p),
+        lambda p: class_counts(make_context("tribonacci"), p),
     ],
     ids=[
         "primitive_representatives", "theorem_word-2", "theorem_word-golden", "theorem_record",
         "closed_form", "closed_record", "brute_force_S", "cross_check", "periodic_value",
-        "class_count",
+        "class_counts",
     ],
 )
 @pytest.mark.parametrize("p", [True, False, 3.0, "3", None])

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from betahole.expansions import class_count, is_admissible
+from betahole.expansions import class_counts, is_admissible
 from betahole.numberfield import BetaKind, make_context
 from betahole.words import (
     EQ,
@@ -323,18 +323,19 @@ class TestPrunedEnumeration:
         # the graph a, whose states are the trailing run of 1s; the classes are
         # counted by Moebius inversion of tr(a^d).  The one class whose power is
         # delta itself (p = len(dper)) is not admitted either.
-        # class_count builds its own graph from the passing factors; a is the reference
+        # class_counts builds its own graph from the passing factors; a is the reference
         ctx = make_context(kind)
         dper, pmax = ctx.delta.period, 20
         walk = primitive_representatives(pmax, dper, lengths=range(1, pmax + 1))
         admitted = Counter(map(len, walk))
+        counts = class_counts(ctx, pmax)
         traces, power = [], a
         for _ in range(pmax):
             traces.append(sum(power[i][i] for i in range(len(a))))
             power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
         for p in range(1, pmax + 1):
             closed = sum(mobius(p // d) * traces[d - 1] for d in range(1, p + 1) if p % d == 0)
-            assert admitted[p] == class_count(ctx, p) == closed // p - (p == len(dper)), (kind, p)
+            assert admitted[p] == counts[p] == closed // p - (p == len(dper)), (kind, p)
 
 
 class TestShardedEnumeration:
