@@ -23,9 +23,10 @@ from .survivor import (
     MAX_P,
     THEOREM,
     SurvivorRecord,
+    _brute_force,
     _brute_records,
+    _compare_paths,
     closed_record,
-    cross_check,
     theorem_record,
 )
 
@@ -142,16 +143,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = [
-        cross_check(
-            kind,
-            args.pmax,
-            workers=args.workers,
-            allow_large=args.allow_large_p,
-            digits=args.digits,
-        )
-        for kind in BetaKind
-    ]
+    # one brute-force run for all the kinds: one pool, one map
+    ps = range(1, args.pmax + 1)
+    runs = _brute_force(BetaKind, ps, args.workers, args.allow_large_p, args.digits)
+    reports = [_compare_paths(k, args.pmax, brute, args.digits) for k, brute in zip(BetaKind, runs)]
     mismatches = [m for rep in reports for m in rep.theorem_mismatches + rep.formula_mismatches]
     ok = f"ok: all paths agree for all kinds up to p={args.pmax}"
     summary = ["mismatches:", *mismatches] if mismatches else [ok]

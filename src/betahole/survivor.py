@@ -18,8 +18,9 @@ only its own subtrees (words.primitive_representatives).  A shard walks once,
 to the run's largest period, and collects the words of every period on the
 way: the walk to length n passes every Lyndon word shorter than n.  Each
 brute-force run opens at most one process pool (none when W = 1) and sends
-its W shards through it in one map; their results are folded by one
-order-independent rule before any record is yielded, so the output does not
+the W shards of each of its kinds through it in one map, so `verify` opens
+one pool for all three kinds; each kind's results are folded by one
+order-independent rule before its records are made, so the output does not
 depend on W.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import chain, islice
 
 from .expansions import class_counts, orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
@@ -129,14 +130,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):
-    """Yield the brute-force SurvivorRecord of each period in ps, in order.
+def _brute_force(kinds, ps, workers: int, allow_large: bool, digits: int) -> list[list]:
+    """Each kind's brute-force SurvivorRecord of each period in ps, in order.
 
     Every period is checked against the caps before any word is enumerated.
-    The W = min(workers, usable CPUs) shards go through one map of one pool,
-    or run in this process when W = 1, each walking once for all the periods.
-    Records follow once every shard is folded in and each period's classes
-    number class_counts (or RuntimeError); only each winner gets its numerator.
+    The W = min(workers, usable CPUs) shards of every kind go through one map
+    of one pool, kind after kind, or run in this process when W = 1; each
+    shard walks once for all the periods.  A kind's shards are folded as soon
+    as they are in, while the later kinds' jobs run, and a period whose
+    classes do not number class_counts raises RuntimeError; only each winner
+    gets its numerator.
     """
     ps = [check_period(p) for p in ps]
     workers = check_period(workers, "workers")
@@ -148,31 +151,44 @@ def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits
                 f"p={p} exceeds the default cap of {DEFAULT_P_CAP};"
                 " pass allow_large=True (--allow-large-p on the command line)"
             )
+    ctxs = [make_context(kind) for kind in kinds]
     if not ps:
-        return
+        return [[] for _ in ctxs]
     # more processes than CPUs only add start-up cost; the result does not depend on it
     workers = min(workers, _usable_cpus())
-    kind_value = ctx.kind.value
     # build the bracket tables the shards read before a worker forks: the workers
     # inherit them, so what each one computes does not depend on the jobs it gets
-    make_context(kind_value).pow_brackets(max(ps))
+    for ctx in ctxs:
+        ctx.pow_brackets(max(ps))
+    # one job per (kind, shard), each carrying every period
+    jobs = [(ctx.kind.value, ps, shard, workers) for ctx in ctxs for shard in range(workers)]
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        run = pool.map if pool else map
-        # one job per shard, each carrying every period
-        results = run(_scan_shard, repeat(kind_value), repeat(ps), range(workers), repeat(workers))
-        best = _best(ctx, chain.from_iterable(r.values() for r in results))
+        results = (pool.map if pool else map)(_scan_shard, *zip(*jobs))
+        runs = []
+        for ctx in ctxs:
+            best = _best(ctx, chain.from_iterable(r.values() for r in islice(results, workers)))
+            counts = class_counts(ctx, max(ps))
+            runs.append([])
+            for p in ps:  # a class the walk drops or adds fails this though no winner moves
+                _, _, word, ties, count = best.get(p, (0, 0, None, 0, 0))
+                if count != counts[p]:
+                    raise RuntimeError(
+                        f"{ctx.kind.value} p={p}: {count} classes walked, {counts[p]} counted"
+                    )
+                runs[-1].append(_word_record(ctx, p, word, BRUTE, ties, digits))
     finally:
         if pool is not None:
             # a run stopped early (an error, or an interrupt) waits only for the running jobs
             pool.shutdown(cancel_futures=True)
-    counts = class_counts(ctx, max(ps))
-    for p in ps:  # a class the walk drops or adds fails this though no winner moves
-        if (count := best.get(p, (0,) * 5)[4]) != counts[p]:
-            raise RuntimeError(f"{kind_value} p={p}: {count} classes walked, {counts[p]} counted")
-    for p in ps:
-        _, _, word, ties, _ = best.get(p, (0, 0, None, 0, 0))
-        yield _word_record(ctx, p, word, BRUTE, ties, digits)
+    return runs
+
+
+def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):
+    """Yield the brute-force SurvivorRecord of each period in ps, in order: the
+    one-kind _brute_force, all made before the first is yielded."""
+    (records,) = _brute_force([ctx.kind], ps, workers, allow_large, digits)
+    yield from records
 
 
 def _word_record(ctx: BetaContext, p: int, word, method: str, ties: int, digits: int):
@@ -336,7 +352,12 @@ def cross_check(
     """
     check_period(p_max, "p_max")
     kind = BetaKind(kind)
-    ctx = make_context(kind)
+    (brute,) = _brute_force([kind], range(1, p_max + 1), workers, allow_large, digits)
+    return _compare_paths(kind, p_max, brute, digits)
+
+
+def _compare_paths(kind: BetaKind, p_max: int, brute, digits: int) -> CrossCheckReport:
+    """cross_check's comparisons, given the brute-force records of p = 1..p_max in order."""
     rows: list[CrossCheckRow] = []
     theorem_bad: list[str] = []
     formula_bad: list[str] = []
@@ -345,8 +366,7 @@ def cross_check(
         w, exact = rec.word or "", rec.value.serialize()
         rows.append(CrossCheckRow(rec.p, rec.method, w, exact, rec.value_float, agrees))
 
-    # one pool serves every period of this kind
-    for brec in _brute_records(ctx, range(1, p_max + 1), workers, allow_large, digits):
+    for brec in brute:
         p = brec.p
         trec = theorem_record(kind, p, digits)
         reference = trec.value

@@ -216,7 +216,7 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli_mod, "cross_check", mismatching_cross_check)
+        monkeypatch.setattr(cli_mod, "_compare_paths", mismatching_comparison)
         code, out = run(capsys, "verify", "--pmax", "2")
         assert code == 3
         assert "mismatches:" in out and "synthetic disagreement" in out
@@ -224,7 +224,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("mismatch", [False, True])
     def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, monkeypatch, mismatch):
         if mismatch:
-            monkeypatch.setattr(cli_mod, "cross_check", mismatching_cross_check)
+            monkeypatch.setattr(cli_mod, "_compare_paths", mismatching_comparison)
         code, out = run(capsys, "verify", "--pmax", "4")
         assert code == (3 if mismatch else 0)
         target = tmp_path / "verify.csv"
@@ -234,14 +234,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("mismatch", [False, True])
     def test_unwritable_out_is_io_error(self, capsys, monkeypatch, mismatch):
         if mismatch:
-            monkeypatch.setattr(cli_mod, "cross_check", mismatching_cross_check)
+            monkeypatch.setattr(cli_mod, "_compare_paths", mismatching_comparison)
         assert main(["verify", "--pmax", "2", "--out", "/nonexistent/dir/v.csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "cannot write /nonexistent/dir/v.csv" in captured.err
 
 
-def mismatching_cross_check(kind, p_max, workers=1, allow_large=False, digits=10):
-    """A cross_check stand-in whose report holds one disagreement."""
+def mismatching_comparison(kind, p_max, brute, digits):
+    """A stand-in for verify's per-kind comparison whose report holds one disagreement."""
     return CrossCheckReport(BetaKind(kind), p_max, (), ("synthetic disagreement",), ())
 
 
@@ -282,7 +282,7 @@ def _no_computation(*args, **kwargs):
     ],
 )
 def test_period_above_max_p_is_rejected_before_any_work(capsys, monkeypatch, argv):
-    for name in ("theorem_record", "closed_record", "cross_check", "_brute_records"):
+    for name in ("theorem_record", "closed_record", "_brute_force", "_brute_records"):
         monkeypatch.setattr(cli_mod, name, _no_computation)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -318,7 +318,7 @@ def test_max_p_renders_for_every_kind(capsys, kind, method):
     ],
 )
 def test_flags_a_subcommand_does_not_take_are_usage_errors(capsys, monkeypatch, argv):
-    for name in ("_records", "cross_check"):
+    for name in ("_records", "_brute_force"):
         monkeypatch.setattr(cli_mod, name, _no_computation)
     with pytest.raises(SystemExit) as exc:
         main(argv)

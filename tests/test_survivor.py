@@ -323,6 +323,23 @@ class TestWorkerClamp:
         assert brute_force_S(ctx, 10, workers=5000) == base
         assert pools == []
 
+    @pytest.mark.parametrize("affinity,pool_size", [({0, 1}, [2]), ({0}, [])])
+    def test_verify_with_far_more_workers_than_cpus_starts_no_process(
+        self, monkeypatch, capsys, affinity, pool_size
+    ):
+        # --workers 5000 on an 8-CPU host whose process may use only the affinity
+        # set: the spied pools start no process, and one pool at most serves verify
+        from betahole.cli import main
+
+        assert main(["verify", "--pmax", "8", "--workers", "1"]) == 0
+        base = capsys.readouterr().out
+        pools = spy_pools(monkeypatch, 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        assert main(["verify", "--pmax", "8", "--workers", "5000"]) == 0
+        assert capsys.readouterr().out == base
+        assert pools == pool_size
+        assert [len(jobs) for jobs in InProcessPool.maps] == [3 * n for n in pool_size]
+
     @pytest.mark.parametrize("cores,pool_size", [(3, [3]), (None, [])])
     def test_without_an_affinity_the_host_count_clamps(self, monkeypatch, cores, pool_size):
         ctx = make_context("tribonacci")
@@ -349,20 +366,27 @@ class TestOnePoolPerCommand:
         (jobs,) = InProcessPool.maps  # one job per shard, each walking for every period
         assert jobs == [("golden", list(ps), i, workers) for i in range(workers)]
 
-    def test_bracket_tables_are_built_before_any_job(self, monkeypatch):
-        # forked workers inherit them, so no worker builds its own for the jobs it gets
+    @pytest.mark.parametrize("kinds", [["golden"], [k.value for k in BetaKind]])
+    def test_bracket_tables_are_built_before_any_job(self, monkeypatch, capsys, kinds):
+        # forked workers inherit them, so no worker builds its own for the jobs it
+        # gets; verify's one map starts once every kind's tables are built
+        from betahole.cli import main
+
         monkeypatch.setattr(numberfield, "_CONTEXTS", {})
         spy_pools(monkeypatch, 2)
         built = []
         real = survivor._scan_shard
 
         def scan(kind_value, *job):
-            built.append(len(make_context(kind_value)._pow_brackets[0]))
+            built.append([len(make_context(k)._pow_brackets[0]) for k in kinds])
             return real(kind_value, *job)
 
         monkeypatch.setattr(survivor, "_scan_shard", scan)
-        list(survivor._brute_records(make_context("golden"), [3, 9, 5], 2, False, 10))
-        assert built == [9] * 2
+        if len(kinds) == 1:
+            list(survivor._brute_records(make_context("golden"), [3, 9, 5], 2, False, 10))
+        else:
+            assert main(["verify", "--pmax", "9", "--workers", "2"]) == 0
+        assert built == [[9] * len(kinds)] * (2 * len(kinds))
 
     def test_each_shard_runs_once_and_a_run_closed_early_has_shut_its_pool(self, monkeypatch):
         spy_pools(monkeypatch, 8)
@@ -387,7 +411,7 @@ class TestOnePoolPerCommand:
         assert cross_check(kind, 10, workers=2) == base
         assert pools == [2]
 
-    def test_verify_opens_one_pool_per_kind(self, pools, capsys):
+    def test_verify_opens_one_pool_for_every_kind(self, pools, capsys):
         from betahole.cli import main
 
         assert main(["verify", "--pmax", "8", "--workers", "1"]) == 0
@@ -395,8 +419,28 @@ class TestOnePoolPerCommand:
         assert pools == []
         assert main(["verify", "--pmax", "8", "--workers", "2"]) == 0
         assert capsys.readouterr().out == base
-        assert pools == [2, 2, 2]
-        assert len(InProcessPool.maps) == 3  # one map per kind
+        assert pools == [2]
+        (jobs,) = InProcessPool.maps  # one map: every kind's shards, in BetaKind order
+        assert jobs == [(k.value, list(range(1, 9)), i, 2) for k in BetaKind for i in range(2)]
+        assert InProcessPool.shutdowns == [True]
+
+    def test_a_count_failure_in_one_kind_stops_verify_and_shuts_its_pool(self, monkeypatch, pools):
+        # 0000001 is admissible for every kind and wins at no p = 7; only golden's
+        # walk drops it, so only golden's count can fail
+        from betahole.cli import main
+
+        golden = make_context("golden")
+        real = survivor.primitive_representatives
+
+        def dropping(n, dper, *args):
+            words = real(n, dper, *args)
+            return (w for w in words if w != "0000001") if dper == golden.delta.period else words
+
+        monkeypatch.setattr(survivor, "primitive_representatives", dropping)
+        n = class_counts(golden, 7)[7]
+        with pytest.raises(RuntimeError, match=f"^golden p=7: {n - 1} classes walked, {n} counted$"):
+            main(["verify", "--pmax", "7", "--workers", "2"])
+        assert pools == [2] and InProcessPool.shutdowns == [True]
 
     def test_verify_output_does_not_depend_on_the_workers(self, monkeypatch, capsys):
         from betahole.cli import main
@@ -407,7 +451,7 @@ class TestOnePoolPerCommand:
             assert main(["verify", "--pmax", "10", "--workers", str(workers)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs == [outs[0]] * 4
-        assert pools == [2] * 3 + [3] * 3 + [7] * 3
+        assert pools == [2, 3, 7]
 
 
 class TestClosedForm:
