@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import chain
 
-from .numberfield import MAX_DIGITS, BetaKind, make_context
+from .numberfield import MAX_DIGITS, BetaKind
 from .survivor import (
     BRUTE,
     CLOSED,
@@ -24,7 +24,6 @@ from .survivor import (
     THEOREM,
     SurvivorRecord,
     _brute_force,
-    _brute_records,
     _compare_paths,
     closed_record,
     theorem_record,
@@ -35,10 +34,10 @@ TABLE_HEADER = "p,word,exact,float,method"
 _METHOD_FLAGS = {"brute": BRUTE, "theorem": THEOREM, "closed": CLOSED}
 
 
-def _records(method: str, kind: BetaKind, ps, args) -> Iterator[SurvivorRecord]:
+def _records(method: str, kind: BetaKind, ps, args) -> Iterable[SurvivorRecord]:
     """One method's records for the periods ps, skipping those without a closed form."""
     if method == BRUTE:
-        return _brute_records(make_context(kind), ps, args.workers, args.allow_large_p, args.digits)
+        return _brute_force([kind], ps, args.workers, args.allow_large_p, args.digits)[0]
     if method == THEOREM:
         return (theorem_record(kind, p, digits=args.digits) for p in ps)
     return (r for p in ps if (r := closed_record(kind, p, digits=args.digits)) is not None)
@@ -146,7 +145,7 @@ def cmd_verify(args) -> int:
     # one brute-force run for all the kinds: one pool, one map
     ps = range(1, args.pmax + 1)
     runs = _brute_force(BetaKind, ps, args.workers, args.allow_large_p, args.digits)
-    reports = [_compare_paths(k, args.pmax, brute, args.digits) for k, brute in zip(BetaKind, runs)]
+    reports = [_compare_paths(k, brute, args.digits) for k, brute in zip(BetaKind, runs)]
     mismatches = [m for rep in reports for m in rep.theorem_mismatches + rep.formula_mismatches]
     ok = f"ok: all paths agree for all kinds up to p={args.pmax}"
     summary = ["mismatches:", *mismatches] if mismatches else [ok]

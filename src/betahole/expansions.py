@@ -149,19 +149,17 @@ def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int]:
     The value certificate alone; admission is the caller's.  w, least by the
     lex route, must have a strictly smaller exact value than every other
     rotation, or this raises RuntimeError.  Only the rotations that start
-    with w's leading zero run, z symbols long, can be below w;
-    BetaContext.rotation_bounds(w, z) finds and bounds them, and one
-    stand-in bounds the rest.  Only when that floor does not clear top are
-    the exact numerators of all rotations compared, so a w that is not least,
-    or not primitive (a shorter period ties rotations), raises.  The returned
-    bracket lets a caller rank words without their exact values.
+    with w's leading zero run can be below w; BetaContext.rotation_bounds(w)
+    finds and bounds them, and one stand-in bounds the rest.  Only when that
+    floor does not clear top are the exact numerators of all rotations
+    compared, so a w that is not least, or not primitive (a shorter period
+    ties rotations), raises.  The returned bracket lets a caller rank words
+    without their exact values.
     """
-    p = len(w)
-    # a word that starts with 1 is not least; z = 1 leaves that to the check
-    low, top, floor = ctx.rotation_bounds(w, p - len(w.lstrip("0")) or 1)
+    low, top, floor = ctx.rotation_bounds(w)
     if floor <= top:
         nums = rotation_numerators(w, ctx)
-        for k in range(1, p):
+        for k in range(1, len(w)):
             if ctx.int_compare(nums[k], nums[0]) <= 0:
                 raise RuntimeError(f"rotation {k} of {w} is not above rotation 0 in value")
     return low, top

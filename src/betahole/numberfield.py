@@ -34,6 +34,12 @@ MAX_DIGITS = 1000
 _BITS = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to 0/1 selector bytes
 
 
+def check_digits(digits: int) -> None:
+    """Validate a count of significant digits: an int, not a bool, from 1 to MAX_DIGITS."""
+    if not 1 <= check_period(digits, "digits", -math.inf) <= MAX_DIGITS:
+        raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
+
+
 class BetaKind(str, Enum):
     BASE2 = "2"
     GOLDEN = "golden"
@@ -128,9 +134,9 @@ class BetaContext:
         ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
-    def rotation_bounds(self, w: str, z: int) -> tuple[int, int, int]:
+    def rotation_bounds(self, w: str) -> tuple[int, int, int]:
         """Integers low <= V(w) <= top, and floor <= V(r) for every rotation r
-        of w at an offset 1..p-1, p = len(w), for 1 <= z <= p.
+        of a nonempty word w at an offset 1..p-1; p = len(w), z = max(1, its leading zeros).
 
         V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
         value is a 0/1 sum of powers of beta, so summing each power's bracket
@@ -142,8 +148,9 @@ class BetaContext:
         """
         lo, hi = self._pow_brackets
         p = len(w)
-        if not 0 < z <= p:  # lo[p - z] would be another power's bracket, or none
-            raise ValueError(f"need 1 <= z <= {p}, got {z}")
+        if not p:  # lo[p - z] would be lo[-1], another power's bracket
+            raise ValueError("need a nonempty word")
+        z = p - len(w.lstrip("0")) or 1
         if len(lo) < p:
             self.pow_brackets(p)
         zeros, ww, floor = "0" * z, w + w, lo[p - z]
@@ -408,6 +415,8 @@ class FieldElement:
         return _quotient(self.ctx, o.nums, o.den, self.nums, self.den)
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
         result = self.ctx.one()
@@ -463,8 +472,7 @@ class FieldElement:
         Rounds half away from zero, exactly, at any magnitude: refines the root
         interval until both ends round to the same string (at once for a rational).
         """
-        if not 1 <= check_period(digits, "digits", -math.inf) <= MAX_DIGITS:
-            raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
+        check_digits(digits)
         s = 64
         while s < digits * 10 // 3 + 16:  # log2(10) < 10/3 bits per digit, plus a guard
             s *= 2

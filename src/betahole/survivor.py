@@ -17,11 +17,11 @@ delta(beta)-pruned Lyndon tree round-robin into W shards, and each shard walks
 only its own subtrees (words.primitive_representatives).  A shard walks once,
 to the run's largest period, and collects the words of every period on the
 way: the walk to length n passes every Lyndon word shorter than n.  Each
-brute-force run opens at most one process pool (none when W = 1) and sends
-the W shards of each of its kinds through it in one map, so `verify` opens
-one pool for all three kinds; each kind's results are folded by one
-order-independent rule before its records are made, so the output does not
-depend on W.
+brute-force run, of one kind or of all three (`verify`), is one _brute_force
+call: it checks every argument before any work, opens at most one process
+pool (none when W = 1) and sends the W shards of each kind through it in one
+map.  Each kind's results are folded by one order-independent rule before its
+records are made, so the output does not depend on W.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from itertools import chain, islice
 
 from .expansions import class_counts, orbit_min_bounds
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
+from .numberfield import check_digits
 from .words import check_period, primitive_representatives
 
 BRUTE, THEOREM, CLOSED = "BruteForce", "TheoremWord", "ClosedForm"
@@ -69,30 +70,27 @@ def _best(ctx: BetaContext, candidates) -> dict:
     rotation of a class and low <= V(word) <= top bracket its orbit minimum
     as BetaContext.rotation_bounds does.  A candidate beats the incumbent of
     its length when its low is above the incumbent's top and loses when its
-    top is below the incumbent's low; only overlapping brackets compare the
-    exact numerators int_horner(word).  Equal values sum their ties and keep
-    the lexicographically smaller word and both brackets' intersection, so
-    the result does not depend on the order of the candidates.  Words of one
-    length compare as binary numerals in string order; that only breaks ties.
+    top is below the incumbent's low; only overlapping brackets build both
+    words' exact numerators, and compare them.  Equal values sum their ties and
+    keep the lexicographically smaller word and both brackets' intersection,
+    so the result does not depend on the order of the candidates.  Words of
+    one length compare as binary numerals in string order; that only breaks ties.
     """
-    best = {}  # length -> [low, top, word, ties, count, exact numerator of word or None]
+    best = {}  # length -> [low, top, word, ties, count]
     for low, top, word, n, count in candidates:
         inc = best.get(len(word))
-        if inc is None or low > inc[1]:
-            best[len(word)] = [low, top, word, n, count + inc[4] if inc else count, None]
+        if inc is None:
+            best[len(word)] = [low, top, word, n, count]
             continue
         inc[4] += count
         if top < inc[0]:
             continue
-        if inc[5] is None:
-            inc[5] = ctx.int_horner(inc[2])
-        num = ctx.int_horner(word)
-        c = ctx.int_compare(num, inc[5])
+        c = 1 if low > inc[1] else ctx.int_compare(ctx.int_horner(word), ctx.int_horner(inc[2]))
         if c > 0:
-            best[len(word)] = [low, top, word, n, inc[4], num]
+            inc[:4] = low, top, word, n
         elif c == 0:
             inc[:4] = max(low, inc[0]), min(top, inc[1]), min(inc[2], word), inc[3] + n
-    return {length: tuple(inc[:5]) for length, inc in best.items()}
+    return {length: tuple(inc) for length, inc in best.items()}
 
 
 def _scan_shard(kind_value: str, periods, shard: int, shards: int) -> dict:
@@ -131,18 +129,19 @@ def _usable_cpus() -> int:
 
 
 def _brute_force(kinds, ps, workers: int, allow_large: bool, digits: int) -> list[list]:
-    """Each kind's brute-force SurvivorRecord of each period in ps, in order.
+    """Each kind's brute-force SurvivorRecord of each period in ps (nonempty), in order.
 
-    Every period is checked against the caps before any word is enumerated.
-    The W = min(workers, usable CPUs) shards of every kind go through one map
-    of one pool, kind after kind, or run in this process when W = 1; each
-    shard walks once for all the periods.  A kind's shards are folded as soon
-    as they are in, while the later kinds' jobs run, and a period whose
+    Every argument, and every period against the caps, is checked before any
+    work.  The W = min(workers, usable CPUs) shards of every kind go through
+    one map of one pool, kind after kind, or run in this process when W = 1;
+    each shard walks once for all the periods.  A kind's shards are folded as
+    soon as they are in, while the later kinds' jobs run, and a period whose
     classes do not number class_counts raises RuntimeError; only each winner
     gets its numerator.
     """
     ps = [check_period(p) for p in ps]
     workers = check_period(workers, "workers")
+    check_digits(digits)
     for p in ps:
         if p > HARD_P_CAP:
             raise ValueError(f"p={p} exceeds the enumeration cap of {HARD_P_CAP}")
@@ -152,8 +151,6 @@ def _brute_force(kinds, ps, workers: int, allow_large: bool, digits: int) -> lis
                 " pass allow_large=True (--allow-large-p on the command line)"
             )
     ctxs = [make_context(kind) for kind in kinds]
-    if not ps:
-        return [[] for _ in ctxs]
     # more processes than CPUs only add start-up cost; the result does not depend on it
     workers = min(workers, _usable_cpus())
     # build the bracket tables the shards read before a worker forks: the workers
@@ -184,13 +181,6 @@ def _brute_force(kinds, ps, workers: int, allow_large: bool, digits: int) -> lis
     return runs
 
 
-def _brute_records(ctx: BetaContext, ps, workers: int, allow_large: bool, digits: int):
-    """Yield the brute-force SurvivorRecord of each period in ps, in order: the
-    one-kind _brute_force, all made before the first is yielded."""
-    (records,) = _brute_force([ctx.kind], ps, workers, allow_large, digits)
-    yield from records
-
-
 def _word_record(ctx: BetaContext, p: int, word, method: str, ties: int, digits: int):
     """The record of period p whose critical word is word; None is the empty S = 0 record."""
     if word is None:
@@ -207,7 +197,7 @@ def brute_force_S(
     digits: int = 10,
 ) -> SurvivorRecord:
     """Exhaustive maximum of the orbit minimum over admissible primitive classes."""
-    (record,) = _brute_records(ctx, [p], workers, allow_large, digits)
+    ((record,),) = _brute_force([ctx.kind], [p], workers, allow_large, digits)
     return record
 
 
@@ -350,13 +340,13 @@ def cross_check(
     evidence ("theorem mismatch"); a closed-form disagreement while brute
     force matches the word is a "paper-formula mismatch".  Both are data.
     """
-    check_period(p_max, "p_max")
     kind = BetaKind(kind)
-    (brute,) = _brute_force([kind], range(1, p_max + 1), workers, allow_large, digits)
-    return _compare_paths(kind, p_max, brute, digits)
+    ps = range(1, check_period(p_max, "p_max") + 1)
+    (brute,) = _brute_force([kind], ps, workers, allow_large, digits)
+    return _compare_paths(kind, brute, digits)
 
 
-def _compare_paths(kind: BetaKind, p_max: int, brute, digits: int) -> CrossCheckReport:
+def _compare_paths(kind: BetaKind, brute, digits: int) -> CrossCheckReport:
     """cross_check's comparisons, given the brute-force records of p = 1..p_max in order."""
     rows: list[CrossCheckRow] = []
     theorem_bad: list[str] = []
@@ -389,4 +379,4 @@ def _compare_paths(kind: BetaKind, p_max: int, brute, digits: int) -> CrossCheck
                     f" vs theorem word value {reference.serialize()}"
                 )
             row(crec, formula_ok)
-    return CrossCheckReport(kind, p_max, tuple(rows), tuple(theorem_bad), tuple(formula_bad))
+    return CrossCheckReport(kind, len(brute), tuple(rows), tuple(theorem_bad), tuple(formula_bad))

@@ -19,7 +19,9 @@ _SEQ_RE = re.compile(r"([01]*)\(([01]+)\)")
 
 
 def check_word(w: str) -> str:
-    """Validate a binary word: nonempty, every digit 0 or 1."""
+    """Validate a binary word: a str, nonempty, every digit 0 or 1."""
+    if not isinstance(w, str):
+        raise TypeError(f"a word must be a str, not {type(w).__name__}")
     if not w or w.strip("01"):
         raise ValueError(f"not a nonempty binary word: {w!r}")
     return w
@@ -67,6 +69,8 @@ class PeriodicSeq:
     __slots__ = ("pre", "period")
 
     def __init__(self, pre: str, period: str) -> None:
+        if not isinstance(pre, str):
+            raise TypeError(f"a preperiod must be a str, not {type(pre).__name__}")
         if pre.strip("01"):
             raise ValueError(f"bad preperiod: {pre!r}")
         check_word(period)

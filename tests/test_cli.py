@@ -240,9 +240,9 @@ class TestVerifyCommand:
         assert captured.out == "" and "cannot write /nonexistent/dir/v.csv" in captured.err
 
 
-def mismatching_comparison(kind, p_max, brute, digits):
+def mismatching_comparison(kind, brute, digits):
     """A stand-in for verify's per-kind comparison whose report holds one disagreement."""
-    return CrossCheckReport(BetaKind(kind), p_max, (), ("synthetic disagreement",), ())
+    return CrossCheckReport(BetaKind(kind), len(brute), (), ("synthetic disagreement",), ())
 
 
 @pytest.mark.parametrize(
@@ -282,7 +282,7 @@ def _no_computation(*args, **kwargs):
     ],
 )
 def test_period_above_max_p_is_rejected_before_any_work(capsys, monkeypatch, argv):
-    for name in ("theorem_record", "closed_record", "_brute_force", "_brute_records"):
+    for name in ("theorem_record", "closed_record", "_brute_force"):
         monkeypatch.setattr(cli_mod, name, _no_computation)
     with pytest.raises(SystemExit) as exc:
         main(argv)

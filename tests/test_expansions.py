@@ -50,9 +50,9 @@ def undecided_bounds(monkeypatch):
     real = BetaContext.rotation_bounds
     calls = []
 
-    def undecided(self, w, z):
+    def undecided(self, w):
         calls.append(w)
-        low, top, floor = real(self, w, z)
+        low, top, floor = real(self, w)
         return low, top, min(floor, top)
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", undecided)
@@ -444,9 +444,9 @@ class TestOrbitMin:
         real = BetaContext.rotation_bounds
         calls = []
 
-        def moved(self, w, z):
+        def moved(self, w):
             calls.append(w)
-            low, top, floor = real(self, w, z)
+            low, top, floor = real(self, w)
             assert floor > top
             return low, top, top + gap
 
@@ -491,9 +491,9 @@ class TestOrbitMin:
         real = BetaContext.rotation_bounds
         bounded, summed = [], []
 
-        def spy(self, w, z):
-            bounded.append((w, z))
-            return real(self, w, z)
+        def spy(self, w):
+            bounded.append(w)
+            return real(self, w)
 
         def summed_selectors(brackets, ones):
             summed.append(ones.translate(bytes.maketrans(b"\0\1", b"01"))[::-1].decode())
@@ -520,8 +520,8 @@ class TestOrbitMin:
                 bounded.clear()
                 summed.clear()
                 orbit_min_bounds(w, ctx)
-                z, candidates = zero_run_candidates(w)
-                assert candidates[0] == w and bounded == [(w, z)], w
+                _, candidates = zero_run_candidates(w)
+                assert candidates[0] == w and bounded == [w], w
                 # w for low, and again for top where the brackets are not exact
                 assert summed == [w] * (1 if ctx.degree == 1 else 2) + candidates[1:], w
 

@@ -605,14 +605,15 @@ class TestEval:
 
 
 def lead_zeros(r):
-    """The z that orbit_min_bounds passes with r: its leading zeros, at least 1."""
+    """The z that rotation_bounds(r) works with: r's leading zeros, at least 1."""
     return max(1, len(r) - len(r.lstrip("0")))
 
 
 def stand_in(ctx, p, z):
-    """The floor of rotation_bounds("1" * p, z): no rotation of 1^p starts with a
-    zero, so that floor is the stand-in lo[p - z] alone."""
-    return ctx.rotation_bounds("1" * p, z)[2]
+    """The bracket lo[p - z] that rotation_bounds takes, for a word of length p
+    that starts with z zeros, as the floor of the rotations with a 1 among
+    their first z symbols."""
+    return ctx.pow_brackets(p)[0][p - z]
 
 
 def assert_rotation_bounds_sound(ctx, w):
@@ -624,7 +625,7 @@ def assert_rotation_bounds_sound(ctx, w):
     values = [[c << shift for c in ctx.int_horner(r)] for r in rots]  # V(r) as coefficients
     for k, v in enumerate(values):
         z = lead_zeros(rots[k])
-        low, top, floor = ctx.rotation_bounds(rots[k], z)
+        low, top, floor = ctx.rotation_bounds(rots[k])
         assert ctx.int_sign((v[0] - low, *v[1:])) >= 0, (w, k)
         assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, k)
         lead = stand_in(ctx, len(w), z)
@@ -638,27 +639,23 @@ def assert_rotation_bounds_sound(ctx, w):
 
 
 def assert_every_lower_bound_sound(ctx, w):
-    """low <= V(w) and floor <= V of every other rotation, whichever rotation
-    is passed and whichever z the bounds are taken for, and the stand-in <= V
-    of every rotation with a 1 among the first z symbols.
+    """low <= V(r) and floor <= V of every other rotation, whichever rotation r
+    of w is passed, and the stand-in for r's leading zero run z <= V of every
+    rotation with a 1 among the first z symbols.
 
     The largest lower bound of each rotation is checked exactly, so a lower
-    bound that depends on the rotation passed or on z is covered too.  The
-    bounds are taken with every rotation passed at its leading zeros, as
-    orbit_min_bounds does, and with w at every z in 1..p.
+    bound that depends on the rotation passed is covered too.
     """
     rots = rotations(w)
     p = len(w)
     shift = 64 * (ctx.degree - 1)
     highest = [0] * p
     for k in range(p):
-        low, _, floor = ctx.rotation_bounds(rots[k], lead_zeros(rots[k]))
-        highest = [max(h, low if j == k else floor) for j, h in enumerate(highest)]
-    for z in range(1, p + 1):
-        low, _, floor = ctx.rotation_bounds(w, z)
+        z = lead_zeros(rots[k])
+        low, _, floor = ctx.rotation_bounds(rots[k])
         lead = stand_in(ctx, p, z)
         highest = [
-            max(h, low if j == 0 else floor, lead if "1" in r[:z] else 0)
+            max(h, low if j == k else floor, lead if "1" in r[:z] else 0)
             for j, (h, r) in enumerate(zip(highest, rots))
         ]
     for j, r in enumerate(rots):
@@ -673,18 +670,15 @@ def bracket_sum(brackets, r):
 
 
 def reference_bounds(ctx, w):
-    """{z: rotation_bounds(w, z)} for z in 1..p, one rotation at a time: every
-    rotation built and its brackets summed, and the floor the least of the
-    stand-in lo[p - z] and the rotations at offsets 1..p-1 that start with 0^z."""
-    p = len(w)
+    """rotation_bounds(w), one rotation at a time: every rotation built and its
+    brackets summed, and the floor the least of the stand-in lo[p - z] and the
+    rotations at offsets 1..p-1 that start with 0^z, z = lead_zeros(w)."""
+    p, z = len(w), lead_zeros(w)
     lo, hi = ctx.pow_brackets(p)
     rots = rotations(w)
     lows = [bracket_sum(lo, r) for r in rots]
-    return {
-        z: (lows[0], bracket_sum(hi, w),
-            min([lo[p - z], *(s for r, s in zip(rots[1:], lows[1:]) if r.startswith("0" * z))]))
-        for z in range(1, p + 1)
-    }
+    floor = min([lo[p - z], *(s for r, s in zip(rots[1:], lows[1:]) if r.startswith("0" * z))])
+    return lows[0], bracket_sum(hi, w), floor
 
 
 class TestRotationBounds:
@@ -720,22 +714,19 @@ class TestRotationBounds:
         for n in range(1, 11):
             for v in range(1 << n):
                 w = format(v, f"0{n}b")
-                bounds = {z: ctx.rotation_bounds(w, z) for z in range(1, n + 1)}
-                assert bounds == reference_bounds(ctx, w), w
+                assert ctx.rotation_bounds(w) == reference_bounds(ctx, w), w
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @given(w=st.text(alphabet="01", min_size=1, max_size=64))
     def test_random_words_up_to_length_64_match_the_per_rotation_reference(self, kind, w):
         ctx = make_context(kind)
-        bounds = {z: ctx.rotation_bounds(w, z) for z in range(1, len(w) + 1)}
-        assert bounds == reference_bounds(ctx, w)
+        assert ctx.rotation_bounds(w) == reference_bounds(ctx, w)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("z", [0, -1, 5, 40])
-    def test_rejects_a_zero_run_outside_the_word(self, kind, z):
-        # past p, lo[p - z] indexes from the end: a bracket far above the words' values
-        with pytest.raises(ValueError, match="1 <= z <= 4"):
-            make_context(kind).rotation_bounds("0011", z)
+    def test_rejects_the_empty_word(self, kind):
+        # at p = 0, lo[p - z] indexes from the end: a bracket far above the words' values
+        with pytest.raises(ValueError, match="need a nonempty word"):
+            make_context(kind).rotation_bounds("")
 
     @pytest.mark.parametrize(
         "kind, w, z",
@@ -748,7 +739,8 @@ class TestRotationBounds:
         ctx = make_context(kind)
         rots, p = rotations(w), len(w)
         candidates = [r for r in rots if r.startswith("0" * z)]
-        low, top, floor = ctx.rotation_bounds(w, z)
+        low, top, floor = ctx.rotation_bounds(w)
+        assert lead_zeros(w) == z
         lo = ctx._pow_brackets[0]
         assert min(rots) == w == candidates[0] and floor > top
         assert len(candidates) < p // 2

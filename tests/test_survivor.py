@@ -175,8 +175,14 @@ def test_round_robin_shards_partition_the_words(kind):
 
 
 def merge(ctx, parts):
-    """The fold of the shards' results, as _brute_records makes it."""
+    """The fold of the shards' results, as _brute_force makes it."""
     return survivor._best(ctx, chain.from_iterable(part.values() for part in parts))
+
+
+def brute(kind, ps, workers):
+    """One kind's brute-force records of the periods ps, through _brute_force."""
+    (records,) = survivor._brute_force([kind], ps, workers, False, 10)
+    return records
 
 
 class InProcessPool:
@@ -215,29 +221,30 @@ def spy_pools(monkeypatch, cores):
 def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
     # sound brackets too wide to decide anything: every certificate and every
     # fold step takes the exact route, in every shard and in the merge
-    ctx = make_context(kind)
     ps = range(1, 15)
-    base = list(survivor._brute_records(ctx, ps, 1, False, 10))
+    base = brute(kind, ps, 1)
     real = BetaContext.rotation_bounds
     slack = 1 << 200
     calls = []
 
-    def wide(self, w, z):
+    def wide(self, w):
         calls.append(w)
-        low, top, floor = real(self, w, z)
+        low, top, floor = real(self, w)
         return low - slack, top + slack, floor - slack
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", wide)
     spy_pools(monkeypatch, 7)
     for shards in (1, 2, 3, 7):
         calls.clear()
-        assert list(survivor._brute_records(ctx, ps, shards, False, 10)) == base, shards
+        assert brute(kind, ps, shards) == base, shards
         assert calls, shards
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
-    # a fold that silently went back to exact numerators would only slow the scan down
+    # a fold that silently went back to exact numerators would only slow the scan
+    # down; the merge of the shards' folds needs none either, so _best keeps no
+    # numerator of its incumbents
     calls = {"int_horner": 0, "int_compare": 0}
 
     def spy(name):
@@ -258,6 +265,10 @@ def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
         assert word == theorem_word(kind, p) and ties == 1, p
         assert count == counts[p], p
     assert calls["int_compare"] == 0 and calls["int_horner"] <= 1, calls
+    for shards in (2, 3, 7):
+        parts = [survivor._scan_shard(kind.value, range(1, 15), i, shards) for i in range(shards)]
+        assert merge(make_context(kind), parts) == folds, shards
+        assert calls["int_compare"] == 0, (shards, calls)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -303,6 +314,25 @@ def test_non_integer_period_or_workers_fail_before_any_work(monkeypatch, p, work
     with pytest.raises(TypeError):
         brute_force_S(make_context("golden"), p, workers=workers)
     assert pools == [] and shards == []
+
+
+@pytest.mark.parametrize(
+    "digits, error", [(0, ValueError), (1001, ValueError), (True, TypeError), (2.0, TypeError)]
+)
+def test_bad_digits_fail_before_any_work(monkeypatch, digits, error):
+    # the digits are first read when the records are made, after every shard has run
+    pools = spy_pools(monkeypatch, 2)
+    shards = []
+    monkeypatch.setattr(survivor, "_scan_shard", lambda *args: shards.append(args))
+    monkeypatch.setattr(numberfield, "_CONTEXTS", {})
+    with pytest.raises(error, match="digits"):
+        brute_force_S(make_context("golden"), 12, workers=2, digits=digits)
+    with pytest.raises(error, match="digits"):
+        cross_check("2", 12, workers=2, digits=digits)
+    assert pools == [] and shards == []
+    # no context is made, and no bracket table built, for the run
+    assert list(numberfield._CONTEXTS) == [BetaKind.GOLDEN]
+    assert make_context("golden")._pow_brackets == ([], [])
 
 
 class TestWorkerClamp:
@@ -358,11 +388,10 @@ class TestOnePoolPerCommand:
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
     def test_one_map_covers_every_period_and_shard_once(self, monkeypatch, workers):
-        ctx = make_context("golden")
         ps = range(1, 13)
-        base = list(survivor._brute_records(ctx, ps, 1, False, 10))
+        base = brute("golden", ps, 1)
         spy_pools(monkeypatch, 8)
-        assert list(survivor._brute_records(ctx, ps, workers, False, 10)) == base
+        assert brute("golden", ps, workers) == base
         (jobs,) = InProcessPool.maps  # one job per shard, each walking for every period
         assert jobs == [("golden", list(ps), i, workers) for i in range(workers)]
 
@@ -383,12 +412,12 @@ class TestOnePoolPerCommand:
 
         monkeypatch.setattr(survivor, "_scan_shard", scan)
         if len(kinds) == 1:
-            list(survivor._brute_records(make_context("golden"), [3, 9, 5], 2, False, 10))
+            brute("golden", [3, 9, 5], 2)
         else:
             assert main(["verify", "--pmax", "9", "--workers", "2"]) == 0
         assert built == [[9] * len(kinds)] * (2 * len(kinds))
 
-    def test_each_shard_runs_once_and_a_run_closed_early_has_shut_its_pool(self, monkeypatch):
+    def test_each_shard_runs_once_and_the_run_shuts_its_pool(self, monkeypatch):
         spy_pools(monkeypatch, 8)
         scanned = []
         real = survivor._scan_shard
@@ -398,11 +427,9 @@ class TestOnePoolPerCommand:
             return real(*job)
 
         monkeypatch.setattr(survivor, "_scan_shard", scan)
-        records = survivor._brute_records(make_context("2"), [5, 9, 7], 3, False, 10)
-        assert next(records).p == 5
+        assert [r.p for r in brute("2", [5, 9, 7], 3)] == [5, 9, 7]
         assert scanned == [([5, 9, 7], i) for i in range(3)]
-        records.close()
-        assert len(scanned) == 3 and InProcessPool.shutdowns == [True]
+        assert InProcessPool.shutdowns == [True]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_cross_check_opens_one_pool_for_all_periods(self, pools, kind):
@@ -441,6 +468,24 @@ class TestOnePoolPerCommand:
         with pytest.raises(RuntimeError, match=f"^golden p=7: {n - 1} classes walked, {n} counted$"):
             main(["verify", "--pmax", "7", "--workers", "2"])
         assert pools == [2] and InProcessPool.shutdowns == [True]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--beta", "tribonacci", "--pmax", "12", "--method", "brute", "--format", "csv"],
+            ["survivor", "--beta", "golden", "--p", "12", "--method", "brute"],
+        ],
+    )
+    def test_brute_tables_do_not_depend_on_the_workers(self, monkeypatch, capsys, argv):
+        from betahole.cli import main
+
+        pools = spy_pools(monkeypatch, 8)
+        outs = []
+        for workers in (1, 2, 7):
+            assert main([*argv, "--workers", str(workers)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == [outs[0]] * 3 and outs[0]
+        assert pools == [2, 7]  # one pool per run, none with 1 worker
 
     def test_verify_output_does_not_depend_on_the_workers(self, monkeypatch, capsys):
         from betahole.cli import main

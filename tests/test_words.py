@@ -400,3 +400,26 @@ class TestShardedEnumeration:
         # shard 0.5 of 2 once yielded nothing, shards = 2.0 dealt as 2, and True as 1
         with pytest.raises(TypeError):
             next(primitive_representatives(12, None, shard, shards))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PeriodicSeq("", 5), "a word must be a str, not int"),
+        (lambda: PeriodicSeq(5, "1"), "a preperiod must be a str, not int"),
+        (lambda: smallest_period(5), "a word must be a str, not int"),
+        (lambda: lex_min_rotation(5), "a word must be a str, not int"),
+        (lambda: next(primitive_representatives(3, below=5)), "a word must be a str, not int"),
+        (lambda: is_admissible(b"01", make_context("golden")), "a word must be a str, not bytes"),
+        # float's __rpow__ declines too, so Python names both operands
+        (lambda: make_context("golden").beta() ** 0.5,
+         r"\*\* or pow\(\): 'FieldElement' and 'float'"),
+    ],
+    ids=["seq-period", "seq-preperiod", "smallest_period", "lex_min_rotation",
+         "primitive_representatives", "is_admissible", "pow"],
+)
+def test_a_value_of_the_wrong_type_is_a_type_error_naming_it(call, message):
+    # these failed inside str.strip or the power loop, with AttributeError or with
+    # an error about the wrong operation
+    with pytest.raises(TypeError, match=message):
+        call()
