@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import chain
 
-from .numberfield import MAX_DIGITS, BetaKind
+from .numberfield import MAX_DIGITS, BetaKind, check_digits
 from .survivor import (
     BRUTE,
     CLOSED,
@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= args.digits <= MAX_DIGITS:
-        parser.error(f"--digits must be between 1 and {MAX_DIGITS}")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     top = args.p if args.command == "survivor" else args.pmax
@@ -203,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"p={top} exceeds the period cap of {MAX_P}")
     handlers = {"survivor": cmd_survivor, "table": cmd_table, "verify": cmd_verify}
     try:
+        check_digits(args.digits)  # before any work, as a usage error
         return handlers[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -141,28 +141,51 @@ def rotation_numerators(w: str, ctx: BetaContext) -> list[tuple[int, ...]]:
     return out
 
 
-def orbit_min_bounds(w: str, ctx: BetaContext) -> tuple[int, int]:
-    """Integer bounds low <= V(w) <= top (V as in BetaContext.rotation_bounds)
-    for w, an admissible Lyndon word: its class's lexicographically least
-    rotation, as the walk primitive_representatives(p, delta) yields it.
+def orbit_min_fold(ctx: BetaContext, words, weights=None) -> dict:
+    """Certify each word of the stream words and fold them by length.
 
-    The value certificate alone; admission is the caller's.  w, least by the
-    lex route, must have a strictly smaller exact value than every other
-    rotation, or this raises RuntimeError.  Only the rotations that start
-    with w's leading zero run can be below w; BetaContext.rotation_bounds(w)
-    finds and bounds them, and one stand-in bounds the rest.  Only when that
-    floor does not clear top are the exact numerators of all rotations
-    compared, so a w that is not least, or not primitive (a shorter period
-    ties rotations), raises.  The returned bracket lets a caller rank words
-    without their exact values.
+    Returns {length: (low, top, word, ties, count)}: the word with the largest
+    orbit minimum of each length, with count summed over all of them.  Each
+    word counts as one class and one tie, or as weights[word] = (ties, count).
+
+    The value certificate, for w an admissible Lyndon word, as the walk
+    primitive_representatives(p, delta) yields it: w, least by the lex route,
+    must have a strictly smaller exact value than every other rotation, or this
+    raises RuntimeError.  BetaContext.rotation_bounds gives low <= V(w) <= top
+    and a floor under every other rotation; only when that floor does not clear
+    top are the exact numerators of all rotations compared, so a w that is not
+    least, or not primitive (a shorter period ties rotations), raises.
+
+    The fold: a word beats the incumbent of its length when its low is above
+    the incumbent's top and loses when its top is below the incumbent's low;
+    only overlapping brackets build both words' exact numerators, and compare
+    them.  Equal values sum their ties and keep the lexicographically smaller
+    word and both brackets' intersection, so the result does not depend on the
+    order of the words.  Words of one length compare as binary numerals in
+    string order; that only breaks ties.
     """
-    low, top, floor = ctx.rotation_bounds(w)
-    if floor <= top:
-        nums = rotation_numerators(w, ctx)
-        for k in range(1, len(w)):
-            if ctx.int_compare(nums[k], nums[0]) <= 0:
-                raise RuntimeError(f"rotation {k} of {w} is not above rotation 0 in value")
-    return low, top
+    best = {}  # length -> [low, top, word, ties, count]
+    for w, low, top, floor in ctx.rotation_bounds(words):
+        if floor <= top:
+            nums = rotation_numerators(w, ctx)
+            for k in range(1, len(w)):
+                if ctx.int_compare(nums[k], nums[0]) <= 0:
+                    raise RuntimeError(f"rotation {k} of {w} is not above rotation 0 in value")
+        n, count = (1, 1) if weights is None else weights[w]
+        inc = best.get(len(w))
+        if inc is None:
+            best[len(w)] = [low, top, w, n, count]
+            continue
+        inc[4] += count
+        if low > inc[1]:
+            inc[0], inc[1], inc[2], inc[3] = low, top, w, n
+        elif top >= inc[0]:  # the brackets overlap: the exact values decide
+            c = ctx.int_compare(ctx.int_horner(w), ctx.int_horner(inc[2]))
+            if c > 0:
+                inc[0], inc[1], inc[2], inc[3] = low, top, w, n
+            elif c == 0:
+                inc[:4] = max(low, inc[0]), min(top, inc[1]), min(inc[2], w), inc[3] + n
+    return {length: tuple(inc) for length, inc in best.items()}
 
 
 def class_counts(ctx: BetaContext, n: int) -> dict[int, int]:
@@ -190,7 +213,7 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     """The rotation of w with the smallest periodic value, and that exact value.
 
     That is the lexicographically least rotation, whose value must be strictly
-    below every other rotation's (see orbit_min_bounds), or RuntimeError.
+    below every other rotation's (see orbit_min_fold), or RuntimeError.
     w must be admissible and primitive, or ValueError.
     """
     report = is_admissible(w, ctx)
@@ -200,7 +223,7 @@ def orbit_min(w: str, ctx: BetaContext) -> tuple[str, FieldElement]:
     if q < len(w):
         raise ValueError(f"{w} is not primitive: its smallest period is {q}")
     least = lex_min_rotation(w)
-    orbit_min_bounds(least, ctx)
+    orbit_min_fold(ctx, [least])
     return least, eval_periodic(least, ctx)
 
 

@@ -134,9 +134,10 @@ class BetaContext:
         ones = word[::-1].encode().translate(_BITS)  # ones[k] selects beta**k
         return tuple(sum(compress(col, ones)) for col in self._int_pow_columns)
 
-    def rotation_bounds(self, w: str) -> tuple[int, int, int]:
-        """Integers low <= V(w) <= top, and floor <= V(r) for every rotation r
-        of a nonempty word w at an offset 1..p-1; p = len(w), z = max(1, its leading zeros).
+    def rotation_bounds(self, words):
+        """For each nonempty word w of the iterable words, (w, low, top, floor):
+        integers low <= V(w) <= top, and floor <= V(r) for every rotation r at
+        an offset 1..p-1; p = len(w), z = max(1, its leading zeros).
 
         V(r) is int_horner(r) at beta times 2**(64*(degree-1)).  A rotation's
         value is a 0/1 sum of powers of beta, so summing each power's bracket
@@ -145,28 +146,35 @@ class BetaContext:
         one bracket, lo[p - z], stands in for all of them, and none is built or
         summed.  The rest, which start with 0^z, are found in w + w, encoded
         reversed once: rotation k selects the powers in its slice [p - k : 2p - k].
+        The bracket lists are read once per stream: pow_brackets extends them
+        in place when a longer word comes.
         """
         lo, hi = self._pow_brackets
-        p = len(w)
-        if not p:  # lo[p - z] would be lo[-1], another power's bracket
-            raise ValueError("need a nonempty word")
-        z = p - len(w.lstrip("0")) or 1
-        if len(lo) < p:
-            self.pow_brackets(p)
-        zeros, ww, floor = "0" * z, w + w, lo[p - z]
-        k = ww.find(zeros, 1)
-        if self.degree == 1:  # exact brackets: the sum is the number itself
-            low = top = int(w, 2)
-            while 0 < k < p:
-                floor = min(floor, int(ww[k : k + p], 2))
-                k = ww.find(zeros, k + 1)
-        else:
-            bits = ww[::-1].encode().translate(_BITS)
-            low, top = sum(compress(lo, bits[p:])), sum(compress(hi, bits[p:]))
-            while 0 < k < p:
-                floor = min(floor, sum(compress(lo, bits[p - k : 2 * p - k])))
-                k = ww.find(zeros, k + 1)
-        return low, top, floor
+        exact = self.degree == 1  # exact brackets: the sum is the number itself
+        for w in words:
+            p = len(w)
+            if not p:  # lo[p - z] would be lo[-1], another power's bracket
+                raise ValueError("need a nonempty word")
+            z = p - len(w.lstrip("0")) or 1
+            if len(lo) < p:
+                self.pow_brackets(p)
+            zeros, ww, floor = "0" * z, w + w, lo[p - z]
+            k = ww.find(zeros, 1)
+            if exact:
+                low = top = int(w, 2)
+                while 0 < k < p:
+                    s = int(ww[k : k + p], 2)
+                    floor = s if s < floor else floor
+                    k = ww.find(zeros, k + 1)
+            else:
+                bits = ww[::-1].encode().translate(_BITS)
+                own = bits[p:]
+                low, top = sum(compress(lo, own)), sum(compress(hi, own))
+                while 0 < k < p:
+                    s = sum(compress(lo, bits[p - k : 2 * p - k]))
+                    floor = s if s < floor else floor
+                    k = ww.find(zeros, k + 1)
+            yield w, low, top, floor
 
     def pow_brackets(self, n: int) -> tuple[list[int], list[int]]:
         """Lists lo, hi of at least n entries, lo[m] <= beta**m * 2**(64*(degree-1)) <= hi[m]."""

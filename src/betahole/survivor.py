@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import islice
 
-from .expansions import class_counts, orbit_min_bounds
+from .expansions import class_counts, orbit_min_fold
 from .numberfield import BetaContext, BetaKind, FieldElement, eval_periodic, make_context
 from .numberfield import check_digits
 from .words import check_period, primitive_representatives
@@ -62,53 +62,21 @@ class SurvivorRecord(namedtuple("SurvivorRecord", "p word value value_float meth
         return line
 
 
-def _best(ctx: BetaContext, candidates) -> dict:
-    """Fold (low, top, word, ties, count) candidates, given in any order, by word length.
-
-    Returns {length: (low, top, word, ties, count)}: the best candidate of
-    each length, with count summed over all of them.  word is the least
-    rotation of a class and low <= V(word) <= top bracket its orbit minimum
-    as BetaContext.rotation_bounds does.  A candidate beats the incumbent of
-    its length when its low is above the incumbent's top and loses when its
-    top is below the incumbent's low; only overlapping brackets build both
-    words' exact numerators, and compare them.  Equal values sum their ties and
-    keep the lexicographically smaller word and both brackets' intersection,
-    so the result does not depend on the order of the candidates.  Words of
-    one length compare as binary numerals in string order; that only breaks ties.
-    """
-    best = {}  # length -> [low, top, word, ties, count]
-    for low, top, word, n, count in candidates:
-        inc = best.get(len(word))
-        if inc is None:
-            best[len(word)] = [low, top, word, n, count]
-            continue
-        inc[4] += count
-        if top < inc[0]:
-            continue
-        c = 1 if low > inc[1] else ctx.int_compare(ctx.int_horner(word), ctx.int_horner(inc[2]))
-        if c > 0:
-            inc[:4] = low, top, word, n
-        elif c == 0:
-            inc[:4] = max(low, inc[0]), min(top, inc[1]), min(inc[2], word), inc[3] + n
-    return {length: tuple(inc) for length, inc in best.items()}
-
-
 def _scan_shard(kind_value: str, periods, shard: int, shards: int) -> dict:
     """Best class of each period, and the number of classes, among the words
     of one shard of the delta(beta)-pruned enumeration; pure, fork-safe.
 
     One walk to the largest period yields every period's admissible Lyndon
-    words, and no word is checked again.  Returns the _best fold, by period,
-    of (*orbit_min_bounds(w), w, 1, 1) for every word w: the certificate
-    takes the walker's word as its class's least rotation, and no exact
-    numerator is built unless two brackets overlap.  The shard walks only the
-    small subtrees dealt to it round-robin, which balances the shards: every
-    Lyndon word of length >= 2 starts with 0, so a split by value would leave
-    all of them in the first shard.
+    words, and no word is checked again.  Returns their orbit_min_fold, by
+    period: the certificate takes the walker's word as its class's least
+    rotation, and no exact numerator is built unless two brackets overlap.
+    The shard walks only the small subtrees dealt to it round-robin, which
+    balances the shards: every Lyndon word of length >= 2 starts with 0, so a
+    split by value would leave all of them in the first shard.
     """
     ctx = make_context(kind_value)
     words = primitive_representatives(max(periods), ctx.delta.period, shard, shards, periods)
-    return _best(ctx, ((*orbit_min_bounds(w, ctx), w, 1, 1) for w in words))
+    return orbit_min_fold(ctx, words)
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -164,7 +132,9 @@ def _brute_force(kinds, ps, workers: int, allow_large: bool, digits: int) -> lis
         results = (pool.map if pool else map)(_scan_shard, *zip(*jobs))
         runs = []
         for ctx in ctxs:
-            best = _best(ctx, chain.from_iterable(r.values() for r in islice(results, workers)))
+            # the shards' winners, certified again and folded with their ties and counts
+            weights = {w: (n, c) for r in islice(results, workers) for _, _, w, n, c in r.values()}
+            best = orbit_min_fold(ctx, weights, weights)
             counts = class_counts(ctx, max(ps))
             runs.append([])
             for p in ps:  # a class the walk drops or adds fails this though no winner moves

@@ -14,7 +14,7 @@ from betahole.expansions import (
     greedy_digits,
     is_admissible,
     orbit_min,
-    orbit_min_bounds,
+    orbit_min_fold,
     quasi_greedy_digits,
     rotation_numerators,
     survives,
@@ -43,20 +43,27 @@ ALL_KINDS = list(BetaKind)
 
 
 def undecided_bounds(monkeypatch):
-    """Lower the floor of BetaContext.rotation_bounds to at most its top: still
-    sound, but it decides nothing, so every word takes the exact route, and the
-    first rotation's bracket is unchanged.  Returns the words it is called
-    with, so a certificate that bypasses the seam fails the caller's test."""
+    """Lower the floor of the BetaContext.rotation_bounds stream to at most its
+    top: still sound, but it decides nothing, so every word takes the exact
+    route, and the first rotation's bracket is unchanged.  Returns the words it
+    yields, so a certificate that bypasses the seam fails the caller's test."""
     real = BetaContext.rotation_bounds
     calls = []
 
-    def undecided(self, w):
-        calls.append(w)
-        low, top, floor = real(self, w)
-        return low, top, min(floor, top)
+    def undecided(self, words):
+        for w, low, top, floor in real(self, words):
+            calls.append(w)
+            yield w, low, top, min(floor, top)
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", undecided)
     return calls
+
+
+def orbit_min_bounds(w, ctx):
+    """(low, top) of w from orbit_min_fold fed w alone: the certificate's bracket."""
+    ((low, top, word, ties, count),) = orbit_min_fold(ctx, [w]).values()
+    assert (word, ties, count) == (w, 1, 1)
+    return low, top
 
 
 def zero_run_candidates(w):
@@ -264,7 +271,7 @@ def test_admissibility_matches_reference_loop(kind, w):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("bad", ["", "2", "012", "0 1"])
 def test_every_entry_point_rejects_a_word_that_is_not_binary(kind, bad):
-    # orbit_min_bounds is no entry point: it takes the walk's admissible Lyndon words
+    # orbit_min_fold is no entry point: it takes the walk's admissible Lyndon words
     ctx = make_context(kind)
     for f in (is_admissible, orbit_min):
         with pytest.raises(ValueError, match="not a nonempty binary word"):
@@ -444,11 +451,11 @@ class TestOrbitMin:
         real = BetaContext.rotation_bounds
         calls = []
 
-        def moved(self, w):
-            calls.append(w)
-            low, top, floor = real(self, w)
-            assert floor > top
-            return low, top, top + gap
+        def moved(self, words):
+            for w, low, top, floor in real(self, words):
+                calls.append(w)
+                assert floor > top
+                yield w, low, top, top + gap
 
         monkeypatch.setattr(BetaContext, "rotation_bounds", moved)
         ctx = make_context(kind)
@@ -491,9 +498,10 @@ class TestOrbitMin:
         real = BetaContext.rotation_bounds
         bounded, summed = [], []
 
-        def spy(self, w):
-            bounded.append(w)
-            return real(self, w)
+        def spy(self, words):
+            for item in real(self, words):
+                bounded.append(item[0])
+                yield item
 
         def summed_selectors(brackets, ones):
             summed.append(ones.translate(bytes.maketrans(b"\0\1", b"01"))[::-1].decode())
@@ -585,6 +593,27 @@ class TestOrbitMin:
         # some start with 1, so no rotation starts with their zero run
         assert any(w[0] == "1" for w in words) and numerator_calls == words
         assert calls is None or calls == words
+
+    @pytest.mark.parametrize("route", ["bounds", "exact"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_word_that_is_not_least_raises_in_the_middle_of_a_stream(
+        self, monkeypatch, numerator_calls, kind, route
+    ):
+        # every word of the stream is certified, not only its first: a rotation
+        # of the p = 8 critical word that is not least, put among the walk's
+        # words, raises naming it on either route, and the stream stops there
+        ctx = make_context(kind)
+        calls = undecided_bounds(monkeypatch) if route == "exact" else None
+        walk = list(primitive_representatives(10, ctx.delta.period, lengths=range(1, 11)))
+        least = theorem_word(kind, 8)
+        bad = least[1:] + least[0]
+        assert bad != lex_min_rotation(bad) == least and is_admissible(bad, ctx).admissible
+        head = walk[: len(walk) // 2]
+        assert len(head) > 1
+        with pytest.raises(RuntimeError, match=f"rotation \\d+ of {bad} is not above rotation 0"):
+            orbit_min_fold(ctx, [*head, bad, *walk[len(head):]])
+        assert numerator_calls == ([*head, bad] if route == "exact" else [bad])
+        assert calls is None or calls == [*head, bad]
 
     def test_rotation_numerators_match_direct_evaluation(self):
         for kind in ALL_KINDS:

@@ -13,13 +13,15 @@ from betahole.numberfield import (
     NEG,
     POS,
     ZERO,
+    BetaContext,
     BetaKind,
     FieldElement,
     eval_eventually_periodic,
     eval_periodic,
     make_context,
 )
-from betahole.words import PeriodicSeq, rotations
+from betahole.survivor import theorem_word
+from betahole.words import PeriodicSeq, lex_min_rotation, primitive_representatives, rotations
 
 ALL_KINDS = list(BetaKind)
 
@@ -604,6 +606,13 @@ class TestEval:
         assert a == b
 
 
+def bounds(ctx, w):
+    """(low, top, floor) of the word w alone, from the rotation_bounds stream."""
+    ((r, low, top, floor),) = ctx.rotation_bounds([w])
+    assert r == w
+    return low, top, floor
+
+
 def lead_zeros(r):
     """The z that rotation_bounds(r) works with: r's leading zeros, at least 1."""
     return max(1, len(r) - len(r.lstrip("0")))
@@ -625,7 +634,7 @@ def assert_rotation_bounds_sound(ctx, w):
     values = [[c << shift for c in ctx.int_horner(r)] for r in rots]  # V(r) as coefficients
     for k, v in enumerate(values):
         z = lead_zeros(rots[k])
-        low, top, floor = ctx.rotation_bounds(rots[k])
+        low, top, floor = bounds(ctx, rots[k])
         assert ctx.int_sign((v[0] - low, *v[1:])) >= 0, (w, k)
         assert ctx.int_sign((top - v[0], *(-c for c in v[1:]))) >= 0, (w, k)
         lead = stand_in(ctx, len(w), z)
@@ -652,7 +661,7 @@ def assert_every_lower_bound_sound(ctx, w):
     highest = [0] * p
     for k in range(p):
         z = lead_zeros(rots[k])
-        low, _, floor = ctx.rotation_bounds(rots[k])
+        low, _, floor = bounds(ctx, rots[k])
         lead = stand_in(ctx, p, z)
         highest = [
             max(h, low if j == k else floor, lead if "1" in r[:z] else 0)
@@ -714,19 +723,19 @@ class TestRotationBounds:
         for n in range(1, 11):
             for v in range(1 << n):
                 w = format(v, f"0{n}b")
-                assert ctx.rotation_bounds(w) == reference_bounds(ctx, w), w
+                assert bounds(ctx, w) == reference_bounds(ctx, w), w
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @given(w=st.text(alphabet="01", min_size=1, max_size=64))
     def test_random_words_up_to_length_64_match_the_per_rotation_reference(self, kind, w):
         ctx = make_context(kind)
-        assert ctx.rotation_bounds(w) == reference_bounds(ctx, w)
+        assert bounds(ctx, w) == reference_bounds(ctx, w)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rejects_the_empty_word(self, kind):
         # at p = 0, lo[p - z] indexes from the end: a bracket far above the words' values
         with pytest.raises(ValueError, match="need a nonempty word"):
-            make_context(kind).rotation_bounds("")
+            bounds(make_context(kind), "")
 
     @pytest.mark.parametrize(
         "kind, w, z",
@@ -739,7 +748,7 @@ class TestRotationBounds:
         ctx = make_context(kind)
         rots, p = rotations(w), len(w)
         candidates = [r for r in rots if r.startswith("0" * z)]
-        low, top, floor = ctx.rotation_bounds(w)
+        low, top, floor = bounds(ctx, w)
         assert lead_zeros(w) == z
         lo = ctx._pow_brackets[0]
         assert min(rots) == w == candidates[0] and floor > top
@@ -750,3 +759,21 @@ class TestRotationBounds:
             if r not in candidates:
                 assert lo[p - z] <= bracket_sum(lo, r)
         assert_rotation_bounds_sound(ctx, w)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_stream_of_rising_and_falling_lengths_matches_the_reference(self, kind):
+        # the stream reads the bracket lists once; a word longer than the tables
+        # (p = 30 on tables built to 14) extends them in place, so the lists it
+        # holds must see the new entries, and a shorter word after it still reads them
+        ctx = BetaContext(kind)
+        ctx.pow_brackets(14)
+        walk = list(primitive_representatives(14, ctx.delta.period, lengths=range(1, 15)))
+        words = [*walk, lex_min_rotation(theorem_word(kind, 30)), walk[len(walk) // 2]]
+        lengths = [len(w) for w in words]
+        assert max(lengths[:-2]) == 14 == len(ctx._pow_brackets[0]) and lengths[-2] == 30
+        assert any(a > b for a, b in zip(lengths, lengths[1:-2]))  # the walk's lengths fall too
+        stream = list(ctx.rotation_bounds(words))
+        assert len(ctx._pow_brackets[0]) == 30
+        # the references come from another context, so they cannot build its tables
+        reference = make_context(kind)
+        assert stream == [(w, *reference_bounds(reference, w)) for w in words]

@@ -6,7 +6,7 @@ import pytest
 
 import betahole.numberfield as numberfield
 import betahole.survivor as survivor
-from betahole.expansions import class_counts, is_admissible
+from betahole.expansions import class_counts, is_admissible, orbit_min_fold
 from betahole.numberfield import BetaContext, BetaKind, eval_periodic, make_context
 from betahole.survivor import (
     BRUTE,
@@ -109,7 +109,23 @@ class TestBruteForce:
             assert rec == base
 
 
-def test_best_fold_keeps_the_earliest_word_and_sums_ties():
+def fold_chosen(monkeypatch, ctx, parts):
+    """orbit_min_fold of the words of (low, top, word, ties, count) parts, in their
+    order: the rotation_bounds stream yields each word's chosen bracket, with a
+    floor above its top so that the certificate passes on the bounds, and each
+    word counts as its (ties, count)."""
+    brackets = {word: (low, top) for low, top, word, _, _ in parts}
+
+    def chosen(self, words):
+        for w in words:
+            yield w, *brackets[w], brackets[w][1] + 1
+
+    monkeypatch.setattr(BetaContext, "rotation_bounds", chosen)
+    weights = {word: (n, count) for _, _, word, n, count in parts}
+    return orbit_min_fold(ctx, [part[2] for part in parts], weights)
+
+
+def test_best_fold_keeps_the_earliest_word_and_sums_ties(monkeypatch):
     # the fold that serves both one shard's words and the merge of the shards' results,
     # one winner per word length; golden: 0011 and 0100 are both beta^2, 0110, 1000
     # and 110 all beta^3 (x10: 26.2, 42.4), and 101 is beta^2 + 1 (x10: 36.2).  The
@@ -123,11 +139,11 @@ def test_best_fold_keeps_the_earliest_word_and_sums_ties():
         (41, 44, "110", 5, 2),
         (26, 28, "0100", 1, 4000),
     ]
-    assert survivor._best(ctx, []) == {}
+    assert orbit_min_fold(ctx, []) == {}
     # round-robin shards report out of word order; the smaller word still wins a tie,
     # and a word of another length with the same value is neither a tie nor a rival
     for order in permutations(parts):
-        assert survivor._best(ctx, order) == {
+        assert fold_chosen(monkeypatch, ctx, order) == {
             4: (42, 43, "0110", 4, 4330), 3: (41, 44, "110", 5, 3)
         }
 
@@ -149,11 +165,11 @@ def test_best_fold_keeps_the_earliest_word_and_sums_ties():
         ([(20, 30, "1000", 2), (31, 50, "0001", 1)], (31, 50, "0001", 1)),
     ],
 )
-def test_best_fold_settles_overlapping_brackets_exactly(parts, expected):
+def test_best_fold_settles_overlapping_brackets_exactly(monkeypatch, parts, expected):
     ctx = make_context("golden")
     for order in permutations(parts):
         counted = [(*part, 1) for part in order]
-        assert survivor._best(ctx, counted) == {4: (*expected, 2)}
+        assert fold_chosen(monkeypatch, ctx, counted) == {4: (*expected, 2)}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -175,8 +191,10 @@ def test_round_robin_shards_partition_the_words(kind):
 
 
 def merge(ctx, parts):
-    """The fold of the shards' results, as _brute_force makes it."""
-    return survivor._best(ctx, chain.from_iterable(part.values() for part in parts))
+    """The fold of the shards' results, as _brute_force makes it: their winners
+    certified again and folded with their ties and counts."""
+    weights = {w: (n, c) for part in parts for _, _, w, n, c in part.values()}
+    return orbit_min_fold(ctx, weights, weights)
 
 
 def brute(kind, ps, workers):
@@ -227,10 +245,10 @@ def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
     slack = 1 << 200
     calls = []
 
-    def wide(self, w):
-        calls.append(w)
-        low, top, floor = real(self, w)
-        return low - slack, top + slack, floor - slack
+    def wide(self, words):
+        for w, low, top, floor in real(self, words):
+            calls.append(w)
+            yield w, low - slack, top + slack, floor - slack
 
     monkeypatch.setattr(BetaContext, "rotation_bounds", wide)
     spy_pools(monkeypatch, 7)
@@ -243,7 +261,7 @@ def test_undecided_brackets_give_the_same_records(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_the_bounds_decide_the_fold_up_to_p14(monkeypatch, kind):
     # a fold that silently went back to exact numerators would only slow the scan
-    # down; the merge of the shards' folds needs none either, so _best keeps no
+    # down; the merge of the shards' folds needs none either, so the fold keeps no
     # numerator of its incumbents
     calls = {"int_horner": 0, "int_compare": 0}
 
